@@ -11,6 +11,7 @@ MFORGE_CAPS environment variable (same syntax, --caps wins).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -43,15 +44,15 @@ from .suites import SUITES, run_suite
 from .matroid import bits
 
 _CONSTRUCTORS = {
-    "pg": (pg, ("n", "q")),
-    "ag": (ag, ("n", "q")),
-    "uniform": (uniform, ("r", "n")),
-    "theta": (theta_graph, ("k", "q")),
-    "spike": (free_spike, ("k",)),
-    "swirl": (free_swirl, ("k",)),
-    "chain": (two_sum_chain, ("k",)),
-    "pgext": (principal_geometry_extension, ("n", "q", "k")),
-    "witness": (density_witness, ("q", "cls", "n")),
+    "pg": pg,
+    "ag": ag,
+    "uniform": uniform,
+    "theta": theta_graph,
+    "spike": free_spike,
+    "swirl": free_swirl,
+    "chain": two_sum_chain,
+    "pgext": principal_geometry_extension,
+    "witness": density_witness,
 }
 
 
@@ -63,6 +64,25 @@ def _parse_params(tokens: list[str]) -> dict:
         key, _, val = tok.partition("=")
         out[key] = int(val) if val.lstrip("-").isdigit() else val
     return out
+
+
+def _check_params(kind: str, params: dict) -> None:
+    """Reject parameters that do not fit the constructor's signature."""
+    sig = inspect.signature(_CONSTRUCTORS[kind], eval_str=True)
+    names = tuple(sig.parameters)
+    extra = set(params) - set(names)
+    if extra:
+        raise SchemaError("unknown-field", f"{kind} takes {names}, not {sorted(extra)}")
+    for name, par in sig.parameters.items():
+        if name not in params:
+            if par.default is par.empty:
+                raise SchemaError("bad-value", f"{kind} needs {name}=")
+        elif not isinstance(params[name], par.annotation):
+            raise SchemaError(
+                "bad-value",
+                f"{kind} parameter {name} must be {par.annotation.__name__}, "
+                f"got {params[name]!r}",
+            )
 
 
 def _parse_caps(text: str | None) -> dict:
@@ -101,12 +121,9 @@ def _emit(doc: dict, out: str | None) -> None:
 def _cmd_construct(args) -> int:
     if args.kind not in _CONSTRUCTORS:
         raise SchemaError("bad-value", f"unknown construction {args.kind!r}")
-    fn, names = _CONSTRUCTORS[args.kind]
     params = _parse_params(args.params)
-    extra = set(params) - set(names)
-    if extra:
-        raise SchemaError("unknown-field", f"{args.kind} takes {names}, not {sorted(extra)}")
-    nm = fn(**params)
+    _check_params(args.kind, params)
+    nm = _CONSTRUCTORS[args.kind](**params)
     m = nm.matroid if isinstance(nm, NamedMatroid) else nm
     if args.out:
         save_path(m, args.out)
@@ -133,10 +150,9 @@ def _cmd_eps(args) -> int:
 def _cmd_density(args) -> int:
     m = load_path(args.matroid)
     q = args.q
-    r = m.full_rank
+    dense = m.is_q_dense(q)  # validates q before the threshold divides by q - 1
     eps = m.epsilon()
-    threshold = (q**r - 1) // (q - 1)
-    dense = m.is_q_dense(q)
+    threshold = (q**m.full_rank - 1) // (q - 1)
     print(
         json.dumps(
             {"epsilon": eps, "threshold": threshold, "dense": dense, "q": q},
@@ -231,7 +247,7 @@ def _cmd_verify(args) -> int:
         "seed": report.seed,
         "jobs": report.jobs,
         "elapsed_ms": report.elapsed_ms,
-        "prng": "mt19937",
+        "prng": report.meta["prng"],
     }
     lines.append(json.dumps(summary, sort_keys=True))
     text = "\n".join(lines) + "\n"

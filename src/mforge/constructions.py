@@ -15,6 +15,7 @@ contract; tests freeze it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import SizeCapError
 from .gf import GF
@@ -24,6 +25,7 @@ from .matroid import (
     Matroid,
     MinorView,
     ParallelConnectionView,
+    bits,
     ksubset_masks,
     mask_of,
 )
@@ -46,13 +48,17 @@ class NamedMatroid:
         return f"<NamedMatroid {self.name} n={self.matroid.n}>"
 
 
-def _vec(idx: int, q: int, width: int) -> tuple[int, ...]:
-    """Base-q digits of idx, most significant first, zero-padded."""
-    out = []
-    for _ in range(width):
-        out.append(idx % q)
-        idx //= q
-    return tuple(reversed(out))
+def projective_points(q: int, n: int) -> list[tuple[int, ...]]:
+    """One vector per 1-dim subspace of GF(q)^n, first nonzero coordinate 1.
+
+    Vectors come in ascending lexicographic order, coordinate 0 most
+    significant.
+    """
+    return [
+        (0,) * lead + (1,) + tail
+        for lead in range(n - 1, -1, -1)
+        for tail in product(range(q), repeat=n - 1 - lead)
+    ]
 
 
 def pg(n: int, q: int) -> NamedMatroid:
@@ -63,13 +69,7 @@ def pg(n: int, q: int) -> NamedMatroid:
     count = (q**n - 1) // (q - 1)
     if count > POINT_CAP:
         raise SizeCapError(f"{count} points exceed cap {POINT_CAP}")
-    cols = []
-    for idx in range(1, q**n):
-        v = _vec(idx, q, n)
-        nz = next(x for x in v if x)
-        if nz == 1:
-            cols.append(v)
-    m = LinearMatroid(gf, cols)
+    m = LinearMatroid(gf, projective_points(q, n))
     return NamedMatroid(
         m,
         name=f"PG({n - 1},{q})",
@@ -86,7 +86,7 @@ def ag(n: int, q: int) -> NamedMatroid:
     count = q ** (n - 1)
     if count > POINT_CAP:
         raise SizeCapError(f"{count} points exceed cap {POINT_CAP}")
-    cols = [(1,) + _vec(idx, q, n - 1) for idx in range(count)]
+    cols = [(1,) + tail for tail in product(range(q), repeat=n - 1)]
     m = LinearMatroid(gf, cols)
     return NamedMatroid(
         m,
@@ -213,7 +213,8 @@ def principal_geometry_extension(n: int, q: int, k: int) -> NamedMatroid:
         raise ValueError(f"flat rank {k} outside [1, {n}]")
     geom = pg(n, q)
     base = geom.matroid
-    flat = base.closure(_first_k_mask(base, k))
+    first_k = bits(base._greedy_basis((1 << base.n) - 1))[:k]
+    flat = base.closure(mask_of(first_k))
     m = base.principal_extension(flat)
     return NamedMatroid(
         m,
@@ -221,20 +222,6 @@ def principal_geometry_extension(n: int, q: int, k: int) -> NamedMatroid:
         provenance=f"principal extension of {geom.name} on a rank-{k} flat",
         meta={"flat": flat, "new": base.n},
     )
-
-
-def _first_k_mask(m: Matroid, k: int) -> int:
-    """Mask of the greedy first k independent elements."""
-    got = 0
-    cur = 0
-    for e in range(m.n):
-        b = 1 << e
-        if m.rank(cur | b) == got + 1:
-            cur |= b
-            got += 1
-            if got == k:
-                return cur
-    raise ValueError(f"rank below {k}")
 
 
 def density_witness(q: int, cls: str, n: int) -> NamedMatroid:

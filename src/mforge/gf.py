@@ -236,6 +236,13 @@ class GF:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
+    def sub_scaled(self, v, f: int, w) -> list[int]:
+        """The row update v - f*w, entry by entry."""
+        if self._add is not None:
+            add, mf = self._add, self._mul[self._neg[f]]
+            return [add[x][mf[y]] for x, y in zip(v, w)]
+        return [self.sub(x, self.mul(f, y)) for x, y in zip(v, w)]
+
     def mul(self, a: int, b: int) -> int:
         if self._mul is not None:
             return self._mul[a][b]

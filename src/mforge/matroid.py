@@ -312,6 +312,36 @@ class Matroid:
 # -- linear backend ------------------------------------------------------------
 
 
+def reduce_vector(gf: GF, pivots: list, v, coords: list[int] | None = None):
+    """Clear v's entries at the pivot rows, pivot by pivot in list order.
+
+    pivots holds (row, vector) pairs whose vector is 1 at row.  When coords
+    is given, coords[i] receives the multiplier used for pivot i.  v itself
+    is never modified.
+    """
+    for i, (row, pv) in enumerate(pivots):
+        f = v[row]
+        if f:
+            if coords is not None:
+                coords[i] = f
+            v = gf.sub_scaled(v, f, pv)
+    return v
+
+
+def push_pivot(gf: GF, pivots: list, v) -> bool:
+    """Reduce v and, if it is nonzero, append it as a normalized pivot.
+
+    Returns whether v was independent of the pivots already present.
+    """
+    v = reduce_vector(gf, pivots, v)
+    nz = next((i for i, x in enumerate(v) if x), None)
+    if nz is None:
+        return False
+    ix = gf.inv(v[nz])
+    pivots.append((nz, [gf.mul(ix, x) for x in v]))
+    return True
+
+
 class LinearMatroid(Matroid):
     """Column matroid of a matrix over GF(q).
 
@@ -336,18 +366,8 @@ class LinearMatroid(Matroid):
         gf = self.field
         pivots: list[tuple[int, list[int]]] = []
         for e in bits(mask):
-            v = list(self.columns[e])
-            for (row, pv) in pivots:
-                f = v[row]
-                if f:
-                    v = [gf.sub(x, gf.mul(f, y)) for x, y in zip(v, pv)]
-            nz = next((i for i, x in enumerate(v) if x), None)
-            if nz is not None:
-                ix = gf.inv(v[nz])
-                pivots.append((nz, [gf.mul(ix, x) for x in v]))
-                if len(pivots) == self.dim:
-                    # remaining columns cannot raise the rank further
-                    return self.dim
+            if push_pivot(gf, pivots, self.columns[e]) and len(pivots) == self.dim:
+                break  # remaining columns cannot raise the rank further
         return len(pivots)
 
     # Projectively normalized column: first nonzero entry scaled to 1.
@@ -378,94 +398,50 @@ class LinearMatroid(Matroid):
         gf = self.field
         pivots: list[tuple[int, list[int]]] = []
         for e in bits(cmask):
-            v = list(self.columns[e])
-            for (row, pv) in pivots:
-                f = v[row]
-                if f:
-                    v = [gf.sub(x, gf.mul(f, y)) for x, y in zip(v, pv)]
-            nz = next((i for i, x in enumerate(v) if x), None)
-            if nz is not None:
-                ix = gf.inv(v[nz])
-                pivots.append((nz, [gf.mul(ix, x) for x in v]))
+            push_pivot(gf, pivots, self.columns[e])
         pivot_rows = {row for row, _ in pivots}
         keep_rows = [i for i in range(self.dim) if i not in pivot_rows]
         cols = []
         for e in range(self.n):
-            if cmask & (1 << e):
-                continue
-            v = list(self.columns[e])
-            for (row, pv) in pivots:
-                f = v[row]
-                if f:
-                    v = [gf.sub(x, gf.mul(f, y)) for x, y in zip(v, pv)]
-            cols.append(tuple(v[i] for i in keep_rows))
+            if not cmask & (1 << e):
+                v = reduce_vector(gf, pivots, self.columns[e])
+                cols.append(tuple(v[i] for i in keep_rows))
         return LinearMatroid(gf, cols)
 
     # -- subspace-indexed flat enumeration ---------------------------------------
 
-    def _span_coords(self):
+    def _span_coords(self) -> list[tuple[int, ...]]:
         """Coordinates of every column in a basis of the column span."""
         gf = self.field
         pivots: list[tuple[int, list[int]]] = []
-        basis_cols: list[int] = []
-        for e in range(self.n):
-            v = list(self.columns[e])
-            for (row, pv) in pivots:
-                f = v[row]
-                if f:
-                    v = [gf.sub(x, gf.mul(f, y)) for x, y in zip(v, pv)]
-            nz = next((i for i, x in enumerate(v) if x), None)
-            if nz is not None:
-                ix = gf.inv(v[nz])
-                pivots.append((nz, [gf.mul(ix, x) for x in v]))
-                basis_cols.append(e)
-        r = len(pivots)
+        for c in self.columns:
+            push_pivot(gf, pivots, c)
         coords = []
-        for e in range(self.n):
-            v = list(self.columns[e])
-            cs = [0] * r
-            for i, (row, pv) in enumerate(pivots):
-                f = v[row]
-                if f:
-                    cs[i] = f
-                    v = [gf.sub(x, gf.mul(f, y)) for x, y in zip(v, pv)]
+        for c in self.columns:
+            cs = [0] * len(pivots)
+            reduce_vector(gf, pivots, c, cs)
             coords.append(tuple(cs))
-        return coords, r
+        return coords
 
     def _flats_impl(self, k: int) -> list[int]:
         r = self.full_rank
         count = _gaussian_binomial(r, k, self.field.q)
         if count > SUBSPACE_ENUM_CAP:
             return super()._flats_impl(k)
-        coords, _ = self._span_coords()
+        coords = self._span_coords()
         gf = self.field
         out = []
         for rows in _echelon_bases(r, k, gf):
-            pivcols = [next(i for i, x in enumerate(row) if x) for row in rows]
+            subspace = [(next(i for i, x in enumerate(row) if x), row) for row in rows]
             members = 0
-            mrank = 0
             span_rows: list[tuple[int, list[int]]] = []
-            for e in range(self.n):
-                v = list(coords[e])
-                for row, pc in zip(rows, pivcols):
-                    f = v[pc]
-                    if f:
-                        v = [gf.sub(x, gf.mul(f, y)) for x, y in zip(v, row)]
-                if any(v):
+            for e, c in enumerate(coords):
+                if any(reduce_vector(gf, subspace, c)):
                     continue  # column outside the subspace
                 members |= 1 << e
-                if mrank < k:
-                    w = list(coords[e])
-                    for (rw, pv) in span_rows:
-                        f = w[rw]
-                        if f:
-                            w = [gf.sub(x, gf.mul(f, y)) for x, y in zip(w, pv)]
-                    nz = next((i for i, x in enumerate(w) if x), None)
-                    if nz is not None:
-                        ix = gf.inv(w[nz])
-                        span_rows.append((nz, [gf.mul(ix, x) for x in w]))
-                        mrank += 1
-            if mrank == k:
+                if len(span_rows) < k:
+                    push_pivot(gf, span_rows, c)
+            if len(span_rows) == k:
                 out.append(members)
         return out
 

@@ -21,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
+from .constructions import projective_points
 from .errors import SizeCapError
 from .gf import GF, is_prime, prime_power
-from .matroid import LinearMatroid, Matroid, bits
+from .matroid import LinearMatroid, Matroid, bits, push_pivot
 
 WITNESS_Q_CAP = 13
 WITNESS_K_CAP = 10
@@ -145,20 +146,20 @@ def brute_force_linear_rep(m: Matroid, q: int) -> LinearMatroid | None:
     if m.n == 0:
         return LinearMatroid(GF(q), [])
     gf = GF(q)
-    points = _projective_points(gf, r)
+    points = projective_points(q, r)
     cols: list[tuple[int, ...]] = []
     used = [False] * len(points)
 
     def lin_rank(mask: int) -> int:
-        probe = LinearMatroid(gf, [cols[e] for e in bits(mask)])
-        return probe.rank(None)
+        pivots: list = []
+        return sum(push_pivot(gf, pivots, cols[e]) for e in bits(mask))
 
     def place(e: int) -> bool:
         if e == m.n:
             return True
         # the first element may go to the first unit point: projective maps
         # act transitively, so this loses no representations
-        cand = [points.index(_unit(r))] if e == 0 else range(len(points))
+        cand = [points.index((1,) + (0,) * (r - 1))] if e == 0 else range(len(points))
         for i in cand:
             if used[i]:
                 continue
@@ -182,24 +183,6 @@ def brute_force_linear_rep(m: Matroid, q: int) -> LinearMatroid | None:
         if rep.rank(mask) != m.rank(mask):
             return None
     return rep
-
-
-def _unit(r: int) -> tuple[int, ...]:
-    return (1,) + (0,) * (r - 1)
-
-
-def _projective_points(gf: GF, r: int) -> list[tuple[int, ...]]:
-    pts = []
-    for idx in range(1, gf.q**r):
-        v = []
-        x = idx
-        for _ in range(r):
-            v.append(x % gf.q)
-            x //= gf.q
-        v.reverse()
-        if next(c for c in v if c) == 1:
-            pts.append(tuple(v))
-    return pts
 
 
 # -- class membership and eventual bases -------------------------------------------------

@@ -559,6 +559,8 @@ def run_suite(
 ) -> SuiteReport:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     caps = caps or CorpusCaps()
     started = time.monotonic()
     named = SUITES[suite](seed, caps)

@@ -144,3 +144,29 @@ def test_caps_flag_shrinks_corpus(capsys, monkeypatch):
 def test_caps_flag_validation(capsys):
     assert run(capsys, "verify", "kung", "--caps", "bogus=1")[0] == 2
     assert run(capsys, "verify", "kung", "--caps", "max_ground=x")[0] == 2
+
+
+def test_density_rejects_small_q(tmp_path, capsys):
+    fano = tmp_path / "fano.json"
+    run(capsys, "construct", "pg", "n=3", "q=2", "--out", str(fano))
+    code, out, err = run(capsys, "density", str(fano), "--q", "1")
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1
+
+
+def test_construct_missing_parameter(capsys):
+    code, out, err = run(capsys, "construct", "uniform", "r=2")
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1
+
+
+def test_construct_wrongly_typed_parameter(capsys):
+    code, out, err = run(capsys, "construct", "pg", "n=3", "q=x")
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1
+
+
+def test_verify_rejects_jobs_below_one(capsys):
+    code, out, err = run(capsys, "verify", "field-axioms", "--jobs", "0")
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1

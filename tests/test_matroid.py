@@ -1,10 +1,12 @@
 import itertools
+import random
 
 import pytest
 
 from mforge import (
     BasesMatroid,
     LinearMatroid,
+    Matroid,
     SizeCapError,
     bits,
     direct_sum,
@@ -89,6 +91,45 @@ def test_generic_vs_echelon_flat_enumeration():
     bm = materialize_bases(lin, max_bases=5000)
     for k in range(4):
         assert sorted(lin.flats_of_rank(k)) == sorted(bm.flats_of_rank(k))
+
+
+def _random_linear(rng, q, dim, n):
+    """Columns with many zero entries, so loops and parallel pairs turn up."""
+    gf = field_new(q)
+    cols = [
+        tuple(rng.randrange(1, q) if rng.random() < 0.6 else 0 for _ in range(dim))
+        for _ in range(n)
+    ]
+    return LinearMatroid(gf, cols)
+
+
+def _check_linear_kernel(m):
+    assert rank_axioms_hold(m) is None
+    for k in range(m.full_rank + 1):
+        assert sorted(m._flats_impl(k)) == sorted(Matroid._flats_impl(m, k))
+    for contract in range(1 << m.n):
+        quotient = m.contract_columns(contract)
+        minor = m.minor(contract=contract)
+        assert quotient.n == minor.n
+        for x in range(1 << minor.n):
+            assert quotient.rank(x) == minor.rank(x)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_linear_kernel_differential(q):
+    # subspace flats, materialized contraction and rank axioms on random
+    # matrices, against the generic flat DFS and the lazy minor view
+    rng = random.Random(q)
+    for _ in range(6):
+        _check_linear_kernel(_random_linear(rng, q, rng.randint(2, 3), rng.randint(3, 8)))
+
+
+def test_linear_kernel_differential_without_tables():
+    rng = random.Random(257)
+    m = _random_linear(rng, 257, 2, 6)
+    assert m.field._add is None  # q > 256 takes the arithmetic fallback
+    assert m.full_rank == 2
+    _check_linear_kernel(m)
 
 
 def test_loops_and_simplify():
