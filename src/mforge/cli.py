@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 for pass/found/representable, 1 for fail/absent, 2 for
-usage or schema problems.  Reports are JSON lines (one case per line,
-summary last) so they diff cleanly between runs.
+usage or schema problems and for internal errors.  Reports are JSON lines
+(one case per line, summary last) so they diff cleanly between runs.
 
 Corpus caps can be set with --caps "max_ground=32,max_rank=6" or the
 MFORGE_CAPS environment variable (same syntax, --caps wins).
@@ -88,7 +88,7 @@ def _check_params(kind: str, params: dict) -> None:
 def _parse_caps(text: str | None) -> dict:
     if not text:
         return {}
-    fields = {"max_ground", "max_rank", "max_bases"}
+    fields = {"max_ground", "max_rank"}
     out = {}
     for tok in text.split(","):
         key, _, val = tok.partition("=")
@@ -321,6 +321,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"mforge: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a crash is not the clean negative exit 1
+        print(f"mforge: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

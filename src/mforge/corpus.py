@@ -44,7 +44,6 @@ from .matroid import BasesMatroid, LinearMatroid, bits, ksubset_masks, mask_of
 class CorpusCaps:
     max_ground: int = 64
     max_rank: int = 8
-    max_bases: int = 5000
 
 
 def descriptor(nm: NamedMatroid) -> str:

@@ -5,6 +5,8 @@ element e is in the subset).  Every matroid exposes the same query surface
 through a memoized rank oracle; concrete backends are
 
   LinearMatroid   columns of a matrix over GF(q), rank by Gaussian elimination
+                  (over GF(2) on columns packed into ints, reduced by XOR),
+                  flats by looking up the projective points of each subspace
   BasesMatroid    an explicit list of bases, rank r(X) = max |X & B|
 
 and lazy views (minor, dual, truncation, principal extension, direct sum,
@@ -22,8 +24,9 @@ queries alone are permitted on ground sets up to GROUND_CAP elements.
 
 from __future__ import annotations
 
+import logging
 import math
-from operator import itemgetter
+from itertools import combinations, product
 
 from .errors import SizeCapError
 from .gf import GF
@@ -43,6 +46,14 @@ def bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _iter_bits(mask: int):
+    """bits(mask) lazily, for loops that may stop early."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def mask_of(elems) -> int:
@@ -346,7 +357,11 @@ class LinearMatroid(Matroid):
     """Column matroid of a matrix over GF(q).
 
     Columns are tuples of element indices of the field, one tuple per ground
-    element, all of the same length d.
+    element, all of the same length d.  Over GF(2) each column is also
+    packed into one int (bit i holds row i), and rank reduces those ints by
+    XOR.  Flats come from point lookup: every column is mapped once to its
+    projective point in the column span, and each echelon subspace collects
+    the columns sitting on its points.
     """
 
     def __init__(self, field: GF, columns):
@@ -361,30 +376,17 @@ class LinearMatroid(Matroid):
         self.field = field
         self.columns = cols
         self.dim = len(cols[0]) if cols else 0
+        self.packed = tuple(_point(field, c) for c in cols) if field.q == 2 else None
 
     def _rank_mask(self, mask: int) -> int:
-        gf = self.field
-        pivots: list[tuple[int, list[int]]] = []
-        for e in bits(mask):
-            if push_pivot(gf, pivots, self.columns[e]) and len(pivots) == self.dim:
-                break  # remaining columns cannot raise the rank further
-        return len(pivots)
-
-    # Projectively normalized column: first nonzero entry scaled to 1.
-    def _normalized(self, e: int) -> tuple[int, ...] | None:
-        gf = self.field
-        c = self.columns[e]
-        nz = next((i for i, x in enumerate(c) if x), None)
-        if nz is None:
-            return None
-        ix = gf.inv(c[nz])
-        return tuple(gf.mul(ix, x) for x in c)
+        vectors = self.columns if self.packed is None else self.packed
+        return span_rank(self.field, map(vectors.__getitem__, _iter_bits(mask)), self.dim)
 
     def point_classes(self) -> list[int]:
         groups: dict[tuple[int, ...], int] = {}
         for e in range(self.n):
-            key = self._normalized(e)
-            if key is not None:
+            key = _point(self.field, self.columns[e])
+            if key:
                 groups[key] = groups.get(key, 0) | (1 << e)
         return sorted(groups.values(), key=lambda m: m & -m)
 
@@ -425,25 +427,101 @@ class LinearMatroid(Matroid):
 
     def _flats_impl(self, k: int) -> list[int]:
         r = self.full_rank
-        count = _gaussian_binomial(r, k, self.field.q)
-        if count > SUBSPACE_ENUM_CAP:
-            return super()._flats_impl(k)
-        coords = self._span_coords()
         gf = self.field
+        count = _gaussian_binomial(r, k, gf.q)
+        if count > SUBSPACE_ENUM_CAP:
+            logging.getLogger("mforge").debug(
+                "LinearMatroid flats fall back to the generic search: %d rank-%d subspaces "
+                "of GF(%d)^%d exceed %d", count, k, gf.q, r, SUBSPACE_ENUM_CAP)
+            return super()._flats_impl(k)
+        # Each column's projective point in span coordinates; loops have none.
+        on_point: dict = {}
+        loops = 0
+        for e, c in enumerate(self._span_coords()):
+            p = _point(gf, c)
+            if p:
+                on_point[p] = on_point.get(p, 0) | (1 << e)
+            else:
+                loops |= 1 << e
         out = []
         for rows in _echelon_bases(r, k, gf):
-            subspace = [(next(i for i, x in enumerate(row) if x), row) for row in rows]
-            members = 0
-            span_rows: list[tuple[int, list[int]]] = []
-            for e, c in enumerate(coords):
-                if any(reduce_vector(gf, subspace, c)):
-                    continue  # column outside the subspace
-                members |= 1 << e
-                if len(span_rows) < k:
-                    push_pivot(gf, span_rows, c)
-            if len(span_rows) == k:
+            hit = [p for p in _subspace_points(gf, rows) if p in on_point]
+            # The matroid need not be a full geometry: keep only the
+            # subspaces spanned by the columns on their points.
+            if span_rank(gf, hit, k) == k:
+                members = loops
+                for p in hit:
+                    members |= on_point[p]
                 out.append(members)
         return out
+
+
+def _point(gf: GF, v):
+    """Key of the projective point of v, falsy for the zero vector.
+
+    Over GF(2) the key is v packed into an int, bit i holding entry i.
+    Otherwise it is v scaled so its first nonzero entry is 1, as a tuple.
+    """
+    if gf.q == 2:
+        out = 0
+        for x in reversed(v):
+            out = out + out + x
+        return out
+    nz = next((i for i, x in enumerate(v) if x), None)
+    if nz is None:
+        return None
+    ix = gf.inv(v[nz])
+    return tuple(gf.mul(ix, x) for x in v)
+
+
+def span_rank(gf: GF, vectors, limit: int) -> int:
+    """Rank of the vectors, stopping once it reaches limit.
+
+    Over GF(2) the vectors are packed ints, reduced by XOR against
+    (lowest bit, row) pivots in list order: the pivot rule of reduce_vector.
+    Otherwise they are sequences of field indices, reduced by push_pivot.
+    """
+    if gf.q == 2:
+        pivots: list[tuple[int, int]] = []
+        for v in vectors:
+            for low, row in pivots:
+                if v & low:
+                    v ^= row
+            if v:
+                pivots.append((v & -v, v))
+                if len(pivots) == limit:
+                    break
+        return len(pivots)
+    rows: list[tuple[int, list[int]]] = []
+    for v in vectors:
+        if push_pivot(gf, rows, v) and len(rows) == limit:
+            break
+    return len(rows)
+
+
+def _subspace_points(gf: GF, rows) -> list:
+    """The (q^k - 1)/(q - 1) projective points of the span of RREF rows.
+
+    Rows and points are _point keys.  Over GF(2) each point is one XOR away
+    from a point listed before it.  Otherwise a point is the combination
+    whose first nonzero coefficient is 1; the RREF pivots make that
+    combination already normalized.
+    """
+    points: list = []
+    if gf.q == 2:
+        for row in rows:
+            points += [row] + [p ^ row for p in points]
+        return points
+    neg = [gf.neg(a) for a in gf.nonzero()]  # w - neg[a - 1]*row = w + a*row
+    span = [(0,) * len(rows[0])] if rows else []  # span of the rows after row i
+    for i in range(len(rows) - 1, -1, -1):
+        row = rows[i]
+        # w + row: the points whose first nonzero coefficient is on row i
+        led = [tuple(gf.sub_scaled(w, neg[0], row)) for w in span]
+        points += led
+        if i:
+            span += led + [tuple(gf.sub_scaled(w, f, row)) for f in neg[1:] for w in span]
+    return points
 
 
 def _gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -457,26 +535,24 @@ def _gaussian_binomial(n: int, k: int, q: int) -> int:
 
 
 def _echelon_bases(r: int, k: int, gf: GF):
-    """Row-reduced echelon bases of all k-dim subspaces of GF(q)^r."""
-    from itertools import combinations, product
+    """Row-reduced echelon bases of all k-dim subspaces of GF(q)^r.
 
-    if k == 0:
-        yield []
-        return
+    Each basis is a tuple of rows given as _point keys; an RREF row is
+    already normalized.
+    """
     for pivots in combinations(range(r), k):
-        free = [
-            (i, j)
-            for i in range(k)
-            for j in range(pivots[i] + 1, r)
-            if j not in pivots
-        ]
-        for fill in product(gf.elements(), repeat=len(free)):
-            rows = [[0] * r for _ in range(k)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, j), val in zip(free, fill):
-                rows[i][j] = val
-            yield rows
+        choices = []
+        for p in pivots:
+            free = [j for j in range(p + 1, r) if j not in pivots]
+            row = [0] * r
+            row[p] = 1
+            options = []
+            for fill in product(gf.elements(), repeat=len(free)):
+                for j, val in zip(free, fill):
+                    row[j] = val
+                options.append(_point(gf, row))
+            choices.append(options)
+        yield from product(*choices)
 
 
 # -- bases backend -----------------------------------------------------------------
@@ -560,7 +636,9 @@ class MinorView(Matroid):
             return []
         try:
             parent_flats = self.parent.flats_of_rank(pk)
-        except SizeCapError:
+        except SizeCapError as exc:
+            logging.getLogger("mforge").debug(
+                "MinorView flats fall back to the generic search: %s", exc)
             return super()._flats_impl(k)
         pos = {e: i for i, e in enumerate(self.ground_map)}
         out = set()
@@ -633,7 +711,9 @@ class PrincipalExtensionView(Matroid):
                 if 1 <= k <= self.parent.full_rank + 1
                 else []
             )
-        except SizeCapError:
+        except SizeCapError as exc:
+            logging.getLogger("mforge").debug(
+                "PrincipalExtensionView flats fall back to the generic search: %s", exc)
             return super()._flats_impl(k)
         e_bit = 1 << self.parent.n
         fm = self.fmask

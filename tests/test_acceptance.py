@@ -3,9 +3,13 @@
 Each test prints a single CRITERION <k> PASS/FAIL line on the live
 terminal (bypassing capture) and pins exact expected values plus a
 wall-clock budget.  Budgets are generous on purpose: they catch
-complexity regressions, not scheduler noise.
+complexity regressions, not scheduler noise.  Every suite report must
+also match, case line for case line, the seed-0 reference reports that
+the benchmark checks against (perfbench/reference/seed0.json).
 """
+import json
 import time
+from pathlib import Path
 
 from mforge.constructions import POINT_CAP, ag, pg
 from mforge.suites import run_suite
@@ -18,6 +22,14 @@ def _verdict(capsys, k: int, ok: bool, detail: str, elapsed: float, limit: float
     assert ok, f"criterion {k}: {detail} (elapsed {elapsed:.2f}s, budget {limit}s)"
 
 
+_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "seed0.json"
+
+
+def _matches_reference(report) -> bool:
+    want = json.loads(_REFERENCE.read_text(encoding="utf-8"))[report.suite]["cases"]
+    return [json.dumps(c, sort_keys=True) for c in report.cases] == want
+
+
 def _suite(capsys, k: int, names, limit: float, detail: str, check=None):
     t0 = time.perf_counter()
     reports = [run_suite(s) for s in ([names] if isinstance(names, str) else names)]
@@ -26,7 +38,9 @@ def _suite(capsys, k: int, names, limit: float, detail: str, check=None):
     if ok and check is not None:
         ok = check(*reports)
     cases = sum(len(r.cases) for r in reports)
-    _verdict(capsys, k, ok, f"{detail} ({cases} cases)", elapsed, limit)
+    drifted = [r.suite for r in reports if not _matches_reference(r)]
+    note = f"; case lines differ from the reference: {', '.join(drifted)}" if drifted else ""
+    _verdict(capsys, k, ok and not drifted, f"{detail} ({cases} cases){note}", elapsed, limit)
     return reports
 
 

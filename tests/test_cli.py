@@ -146,6 +146,12 @@ def test_caps_flag_validation(capsys):
     assert run(capsys, "verify", "kung", "--caps", "max_ground=x")[0] == 2
 
 
+def test_caps_rejects_removed_max_bases(capsys):
+    code, out, err = run(capsys, "verify", "kung", "--caps", "max_bases=10")
+    assert code == 2
+    assert out == "" and "unknown cap 'max_bases'" in err
+
+
 def test_density_rejects_small_q(tmp_path, capsys):
     fano = tmp_path / "fano.json"
     run(capsys, "construct", "pg", "n=3", "q=2", "--out", str(fano))
@@ -170,3 +176,13 @@ def test_verify_rejects_jobs_below_one(capsys):
     code, out, err = run(capsys, "verify", "field-axioms", "--jobs", "0")
     assert code == 2
     assert out == "" and len(err.splitlines()) == 1
+
+
+def test_internal_error_exits_two(capsys):
+    # a 1000-link chain overflows the recursion limit; a crash must not
+    # read as the clean negative exit 1
+    code, out, err = run(capsys, "construct", "chain", "k=1000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("mforge: internal: RecursionError: ")
+    assert len(err.splitlines()) == 1

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import random
 
 import pytest
@@ -19,8 +20,10 @@ from mforge import (
     parallel_connection,
     pg,
     rank_axioms_hold,
+    theta_graph,
     uniform,
 )
+from mforge.matroid import push_pivot
 
 FANO = pg(3, 2).matroid
 U24 = uniform(2, 4).matroid
@@ -103,16 +106,44 @@ def _random_linear(rng, q, dim, n):
     return LinearMatroid(gf, cols)
 
 
+def _random_binary(rng, dim, n):
+    """Sparse GF(2) columns of rank below dim, with a loop and a parallel pair."""
+    zero_row = rng.randrange(dim)
+    cols = [
+        tuple(int(i != zero_row and rng.random() < 0.35) for i in range(dim))
+        for _ in range(n - 2)
+    ]
+    cols += [(0,) * dim, cols[0]]
+    rng.shuffle(cols)
+    return LinearMatroid(field_new(2), cols)
+
+
+def _reference_rank(m, x):
+    pivots = []
+    for e in bits(x):
+        push_pivot(m.field, pivots, m.columns[e])
+    return len(pivots)
+
+
 def _check_linear_kernel(m):
-    assert rank_axioms_hold(m) is None
     for k in range(m.full_rank + 1):
         assert sorted(m._flats_impl(k)) == sorted(Matroid._flats_impl(m, k))
-    for contract in range(1 << m.n):
-        quotient = m.contract_columns(contract)
-        minor = m.minor(contract=contract)
+    if m.n > 10:
+        return  # the subset sweeps below are exponential in n
+    assert rank_axioms_hold(m) is None
+    for x in range(1 << m.n):
+        assert m.rank(x) == _reference_rank(m, x)
+    if m.n > 8:
+        return
+    for sub in range(1 << m.n):
+        quotient = m.contract_columns(sub)
+        minor = m.minor(contract=sub)
         assert quotient.n == minor.n
         for x in range(1 << minor.n):
-            assert quotient.rank(x) == minor.rank(x)
+            assert quotient.rank(x) == minor.rank(x) == _reference_rank(quotient, x)
+        restricted = m.restrict_columns(sub)
+        for x in range(1 << restricted.n):
+            assert restricted.rank(x) == _reference_rank(restricted, x)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -130,6 +161,58 @@ def test_linear_kernel_differential_without_tables():
     assert m.field._add is None  # q > 256 takes the arithmetic fallback
     assert m.full_rank == 2
     _check_linear_kernel(m)
+
+
+@pytest.mark.parametrize("dim", [5, 6, 7])
+def test_packed_binary_kernel_differential(dim):
+    # packed GF(2) rank and point-lookup flats on sparse columns with loops,
+    # parallel pairs and rank below dim, then on a theta graph, whose
+    # subspaces far outnumber its flats
+    rng = random.Random(dim)
+    for _ in range(3):
+        m = _random_binary(rng, dim, rng.randint(6, 9))
+        assert m.packed is not None and m.full_rank < dim
+        _check_linear_kernel(m)
+    theta = theta_graph(dim - 2).matroid
+    assert theta.dim == dim
+    _check_linear_kernel(theta)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_point_lookup_flats_on_planes(q):
+    # pg(3, q) is the rank-3 geometry: every subspace of its span is full
+    _check_linear_kernel(pg(3, q).matroid)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_point_lookup_flats_dim4(q):
+    rng = random.Random(100 + q)
+    for _ in range(2):
+        _check_linear_kernel(_random_linear(rng, q, 4, rng.randint(5, 6)))
+
+
+def test_flat_fallbacks_are_logged(caplog):
+    # rank-2 subspaces of GF(37)^4 exceed SUBSPACE_ENUM_CAP, so the linear
+    # backend falls back to the generic search
+    rng = random.Random(37)
+    m = _random_linear(rng, 37, 4, 6)
+    assert m.full_rank == 4
+    with caplog.at_level(logging.DEBUG, logger="mforge"):
+        flats = m.flats_of_rank(2)
+    assert flats == sorted(Matroid._flats_impl(m, 2))
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+    assert caplog.records[0].getMessage().startswith("LinearMatroid flats fall back")
+
+    # a view over a ground set past ENUM_CAP refuses flats; its minor
+    # searches its own ground set instead
+    big = direct_sum(direct_sum(uniform(2, 20).matroid, uniform(2, 20).matroid),
+                     direct_sum(uniform(2, 20).matroid, uniform(1, 10).matroid))
+    small = big.delete((1 << 10) - 1)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="mforge"):
+        points = small.flats_of_rank(1)
+    assert len(points) == 51  # 10 + 20 + 20 points, and U(1,10) is one
+    assert caplog.records[0].getMessage().startswith("MinorView flats fall back")
 
 
 def test_loops_and_simplify():
