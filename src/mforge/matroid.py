@@ -12,6 +12,13 @@ through a memoized rank oracle; concrete backends are
 and lazy views (minor, dual, truncation, principal extension, direct sum,
 parallel connection) that compute rank through their parent's oracle.
 
+Flats of a minor come from its parent's flats only when a LinearMatroid
+answers those: the parent is a LinearMatroid, or a minor, principal
+extension or truncation whose own parent qualifies (the _linear_flats flag
+each view copies from its parent).  Any other minor searches its own
+ground set, which is smaller than its parent's and one rank lower per
+contracted element.
+
 All matroids are immutable after construction.  The only mutable state is
 the per-instance rank memo, which behaves as a pure cache: concurrent
 duplicate computation is harmless, so instances may be shared across
@@ -92,6 +99,8 @@ class Matroid:
     """Abstract rank oracle. Subclasses implement _rank_mask."""
 
     n: int
+    # whether flats_of_rank is answered by LinearMatroid's subspace lookup
+    _linear_flats = False
 
     def __init__(self, n: int):
         if n < 0 or n > GROUND_CAP:
@@ -114,6 +123,11 @@ class Matroid:
         return mask
 
     def rank(self, X=None) -> int:
+        if type(X) is int:
+            # only validated masks are ever stored, so a hit needs no check
+            r = self._memo.get(X)
+            if r is not None:
+                return r
         mask = self.as_mask(X)
         r = self._memo.get(mask)
         if r is None:
@@ -364,6 +378,8 @@ class LinearMatroid(Matroid):
     the columns sitting on its points.
     """
 
+    _linear_flats = True
+
     def __init__(self, field: GF, columns):
         cols = tuple(tuple(int(x) for x in c) for c in columns)
         super().__init__(len(cols))
@@ -578,15 +594,20 @@ class BasesMatroid(Matroid):
             self._verify_exchange()
 
     def _verify_exchange(self):
+        full = (1 << self.n) - 1
         for b1 in self.bases:
+            # swaps[x]: the y for which b1 - x + y is a basis
+            swaps = {}
+            outside = bits(full ^ b1)
+            for x in bits(b1):
+                base = b1 ^ (1 << x)
+                swaps[x] = mask_of(y for y in outside if base | (1 << y) in self.bases_set)
             for b2 in self.bases:
                 if b1 == b2:
                     continue
-                only1 = b1 & ~b2
-                cand = bits(b2 & ~b1)
-                for x in bits(only1):
-                    base = b1 ^ (1 << x)
-                    if not any(base | (1 << y) in self.bases_set for y in cand):
+                gain = b2 & ~b1
+                for x in bits(b1 & ~b2):
+                    if not swaps[x] & gain:
                         raise ValueError(
                             f"basis exchange fails for {bits(b1)} / {bits(b2)} at {x}"
                         )
@@ -607,10 +628,17 @@ class BasesMatroid(Matroid):
 
 
 class MinorView(Matroid):
-    """M / contract \\ delete with ground relabeled to 0..m-1 in parent order."""
+    """M / contract \\ delete with ground relabeled to 0..m-1 in parent order.
+
+    Flats come from the parent's flats when a LinearMatroid answers those
+    (parent._linear_flats); otherwise the generic search runs on the minor's
+    own ground set, since asking a view for flats would search its larger
+    ground set at a higher rank.
+    """
 
     def __init__(self, parent: Matroid, contract_mask: int, delete_mask: int):
         self.parent = parent
+        self._linear_flats = parent._linear_flats
         self.contract_mask = contract_mask
         self.delete_mask = delete_mask
         gone = contract_mask | delete_mask
@@ -629,6 +657,8 @@ class MinorView(Matroid):
         return self.parent.rank(self.lift_mask(mask) | self.contract_mask) - self._rc
 
     def _flats_impl(self, k: int) -> list[int]:
+        if not self._linear_flats:
+            return super()._flats_impl(k)
         # Flats of M/C\D of rank k are (F - C) & keep for parent flats F of
         # rank k + r(C), filtered back to rank k and deduped.
         pk = k + self._rc
@@ -667,6 +697,7 @@ class DualView(Matroid):
 class TruncationView(Matroid):
     def __init__(self, parent: Matroid, t: int):
         self.parent = parent
+        self._linear_flats = parent._linear_flats
         self.t = t
         super().__init__(parent.n)
 
@@ -693,6 +724,7 @@ class PrincipalExtensionView(Matroid):
         if not parent.is_flat(fmask):
             raise ValueError("principal extension requires a flat")
         self.parent = parent
+        self._linear_flats = parent._linear_flats
         self.fmask = fmask
         super().__init__(parent.n + 1)
 

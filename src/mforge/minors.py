@@ -13,7 +13,6 @@ signs are decided by integer arithmetic alone, never floats.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -70,19 +69,19 @@ class DenseRestrictionReport:
     hypothesis_holds: bool = False
 
 
-def iso_is_valid(m: Matroid, n: Matroid, mapping, seed: int = 0) -> bool:
+def iso_is_valid(m: Matroid, n: Matroid, mapping) -> bool:
     """Re-verify a claimed isomorphism by independent rank queries.
 
-    Exhaustive over all subsets up to 12 elements, 10^4 random samples above.
+    Exact: the full ranks agree and every r-subset keeps its rank, so the
+    map carries the bases of m onto the bases of n, and bases determine a
+    matroid.
     """
     if m.n != n.n or sorted(mapping) != list(range(m.n)):
         return False
-    if m.n <= 12:
-        masks = range(1 << m.n)
-    else:
-        rng = random.Random(seed)
-        masks = (rng.getrandbits(m.n) for _ in range(10_000))
-    for x in masks:
+    r = m.full_rank
+    if n.full_rank != r:
+        return False
+    for x in ksubset_masks(m.n, r):
         y = 0
         for e in bits(x):
             y |= 1 << mapping[e]
@@ -132,9 +131,13 @@ def _fingerprints(m: Matroid):
 def are_isomorphic(m: Matroid, n: Matroid) -> IsoCertificate | None:
     """Rank-preserving bijection, or None when provably absent.
 
-    Backtracking over fingerprint-compatible images; at each extension step
-    every subset of the mapped prefix containing the new element is checked
-    for rank agreement, so a completed map is verified on all subsets.
+    Backtracking over fingerprint-compatible images.  At each extension
+    step, the new element joined with every subset of the mapped prefix of
+    at most r - 1 elements (r the full rank) is checked for rank agreement.
+    That loses nothing: a set whose ranks disagree has a maximal independent
+    subset, on the side of larger rank, whose ranks disagree too, and it has
+    at most r elements.  Every pruning decision is the one a check of all
+    prefix subsets would make, and a completed map agrees on all subsets.
     """
     if m.n != n.n:
         return None
@@ -152,6 +155,8 @@ def are_isomorphic(m: Matroid, n: Matroid) -> IsoCertificate | None:
     order = sorted(range(m.n), key=lambda e: len(cands[e]))
     image = [-1] * m.n
     used = [False] * n.n
+    r = m.full_rank
+    # mapped prefix subsets of at most max(r - 1, 0) elements, with images
     pairs: list[tuple[int, int]] = [(0, 0)]
 
     def extend(depth: int) -> bool:
@@ -170,7 +175,8 @@ def are_isomorphic(m: Matroid, n: Matroid) -> IsoCertificate | None:
                 if m.rank(mm | be) != n.rank(nn | bf):
                     ok = False
                     break
-                pairs.append((mm | be, nn | bf))
+                if mm.bit_count() < r - 1:
+                    pairs.append((mm | be, nn | bf))
             if ok:
                 image[e] = f
                 used[f] = True

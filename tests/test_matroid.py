@@ -1,6 +1,7 @@
 import itertools
 import logging
 import random
+import re
 
 import pytest
 
@@ -23,7 +24,7 @@ from mforge import (
     theta_graph,
     uniform,
 )
-from mforge.matroid import push_pivot
+from mforge.matroid import MinorView, push_pivot
 
 FANO = pg(3, 2).matroid
 U24 = uniform(2, 4).matroid
@@ -43,6 +44,12 @@ def test_subset_validation():
         U24.rank(-1)
     with pytest.raises(ValueError):
         U24.rank(1 << 4)
+    # a warm memo answers valid masks before validation; it holds no others
+    for x in range(1 << 4):
+        U24.rank(x)
+    for bad in (-1, 1 << 4):
+        with pytest.raises(ValueError):
+            U24.rank(bad)
 
 
 def test_uniform_ranks():
@@ -203,16 +210,83 @@ def test_flat_fallbacks_are_logged(caplog):
     assert [r.levelno for r in caplog.records] == [logging.DEBUG]
     assert caplog.records[0].getMessage().startswith("LinearMatroid flats fall back")
 
-    # a view over a ground set past ENUM_CAP refuses flats; its minor
-    # searches its own ground set instead
-    big = direct_sum(direct_sum(uniform(2, 20).matroid, uniform(2, 20).matroid),
-                     direct_sum(uniform(2, 20).matroid, uniform(1, 10).matroid))
-    small = big.delete((1 << 10) - 1)
+    # a minor of a linear matroid reads its flats off the parent's; past
+    # ENUM_CAP the parent refuses, and the minor searches its own ground set
+    big = _random_linear(random.Random(70), 37, 4, 70)
+    assert big.full_rank == 4
+    small = big.delete((1 << 64) - 1)
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="mforge"):
-        points = small.flats_of_rank(1)
-    assert len(points) == 51  # 10 + 20 + 20 points, and U(1,10) is one
-    assert caplog.records[0].getMessage().startswith("MinorView flats fall back")
+        lines = small.flats_of_rank(2)
+    assert lines == sorted(Matroid._flats_impl(small, 2))
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages[0].startswith("LinearMatroid flats fall back")
+    assert messages[1].startswith("MinorView flats fall back")
+
+
+def _parent_delegated_flats(view, k):
+    """Rank-k flats of a minor read off its parent's flats of rank k + r(C)."""
+    pk = k + view._rc
+    if pk > view.parent.full_rank:
+        return []
+    pos = {e: i for i, e in enumerate(view.ground_map)}
+    out = set()
+    for f in view.parent.flats_of_rank(pk):
+        m = mask_of(pos[e] for e in bits(f) if e in pos)
+        if view.rank(m) == k and view.closure(m) == m:
+            out.add(m)
+    return sorted(out)
+
+
+def _check_view_flats(m):
+    for k in range(m.full_rank + 1):
+        flats = m.flats_of_rank(k)
+        assert flats == sorted(Matroid._flats_impl(m, k))
+        if isinstance(m, MinorView):
+            assert flats == _parent_delegated_flats(m, k)
+
+
+def _refuse(*args):
+    raise AssertionError("flat search that should not run")
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_view_flats_differential(k, monkeypatch):
+    # the swirl is a minor over a stack of views ending in BasesMatroid, so
+    # it searches its own ground set; the spike truncates a linear matroid
+    swirl = free_swirl(k).matroid
+    assert isinstance(swirl, MinorView) and not swirl._linear_flats
+    with monkeypatch.context() as patch:
+        patch.setattr(swirl.parent, "flats_of_rank", _refuse)
+        for r in range(k + 1):
+            swirl.flats_of_rank(r)
+    _check_view_flats(swirl)
+    spike = free_spike(k).matroid
+    assert spike._linear_flats
+    _check_view_flats(spike)
+
+
+def test_minor_flats_over_non_linear_views():
+    over_sum = direct_sum(FANO, uniform(2, 5).matroid).minor(contract=1 << 0, delete=1 << 8)
+    _check_view_flats(over_sum)
+    fano_bases = materialize_bases(FANO)
+    ext = fano_bases.principal_extension(FANO.flats_of_rank(2)[0])
+    over_ext = ext.minor(contract=1 << 6, delete=1 << 5)
+    assert not over_ext._linear_flats
+    _check_view_flats(over_ext)
+
+
+def test_linear_rooted_minor_flats_delegate(monkeypatch):
+    # lemma6's shape: a minor of a principal extension of a projective
+    # geometry keeps reading its flats off the subspace lookup
+    geom = pg(4, 2).matroid
+    ext = geom.principal_extension(geom.flats_of_rank(2)[0])
+    view = ext.minor(contract=1 << 14, delete=1 << 3)
+    assert view._linear_flats
+    generic = [sorted(Matroid._flats_impl(view, k)) for k in range(view.full_rank + 1)]
+    monkeypatch.setattr(Matroid, "_flats_impl", _refuse)
+    for k, want in enumerate(generic):
+        assert view.flats_of_rank(k) == want == _parent_delegated_flats(view, k)
 
 
 def test_loops_and_simplify():
@@ -331,8 +405,12 @@ def test_direct_sum_rank_additive():
 
 
 def test_bases_backend_verification():
-    with pytest.raises(ValueError):
-        BasesMatroid(4, [0b0011, 0b1100], verify=True)  # fails exchange
+    # the first failing (b1, b2, x) in bases order names the failure
+    with pytest.raises(ValueError, match=re.escape("fails for [0, 1] / [2, 3] at 0")):
+        BasesMatroid(4, [0b0011, 0b1100], verify=True)
+    with pytest.raises(ValueError, match=re.escape("fails for [0, 3] / [1, 2] at 3")):
+        BasesMatroid(4, [0b1001, 0b0110, 0b1010, 0b1100], verify=True)
+    assert BasesMatroid(3, [0b011, 0b101], verify=True).full_rank == 2  # coloop 0
     m = BasesMatroid(4, [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100], verify=True)
     assert m.full_rank == 2
     assert m.epsilon() == 4

@@ -1,27 +1,34 @@
 import itertools
+import random
 
 import pytest
 
 from mforge import (
+    BasesMatroid,
     LemmaViolationError,
+    LinearMatroid,
     NotAnExtensionError,
     RepresentableInputError,
     are_isomorphic,
     dense_restriction,
     direct_sum,
     free_spike,
+    free_swirl,
     growth_hypothesis_holds,
     has_minor,
     iso_is_valid,
     longest_line_minor,
     longline_step,
     mask_of,
+    materialize_bases,
     pg,
     theta_graph,
     unavoidable_minor_of_extension,
     uniform,
     weighted_density_exceeds,
 )
+from mforge.matroid import bits, ksubset_masks
+from mforge.minors import _fingerprints
 
 FANO = pg(3, 2).matroid
 
@@ -114,6 +121,83 @@ def test_iso_is_valid_rejects_wrong_map():
     leftover = (x for x in range(7) if x not in set(dst))
     mapping = [img[e] if e in img else next(leftover) for e in range(7)]
     assert not iso_is_valid(FANO, FANO, mapping)
+
+
+def test_iso_is_valid_checks_every_basis_past_twelve():
+    # U(3,14) against itself less one basis: the identity is wrong only on it
+    u = uniform(3, 14).matroid
+    less = BasesMatroid(14, [b for b in u.bases if b != 0b111])
+    assert iso_is_valid(u, u, tuple(range(14)))
+    assert not iso_is_valid(u, less, tuple(range(14)))
+    assert not iso_is_valid(less, u, tuple(range(14)))
+
+
+def _all_subsets_iso(m, n):
+    """are_isomorphic's search checking every prefix subset at every step."""
+    if m.n != n.n or m.full_rank != n.full_rank:
+        return None
+    fm, fn = _fingerprints(m), _fingerprints(n)
+    if sorted(fm) != sorted(fn):
+        return None
+    cands = [[f for f in range(n.n) if fn[f] == fm[e]] for e in range(m.n)]
+    order = sorted(range(m.n), key=lambda e: len(cands[e]))
+    image = [-1] * m.n
+
+    def extend(depth, pairs):
+        if depth == m.n:
+            return True
+        e = order[depth]
+        for f in cands[e]:
+            if f in image:
+                continue
+            grown = [(a | 1 << e, b | 1 << f) for a, b in pairs]
+            if all(m.rank(a) == n.rank(b) for a, b in grown):
+                image[e] = f
+                if extend(depth + 1, pairs + grown):
+                    return True
+                image[e] = -1
+        return False
+
+    return tuple(image) if extend(0, [(0, 0)]) else None
+
+
+def _relabel(m, perm):
+    """Copy of m in which element e is called perm[e]."""
+    if isinstance(m, LinearMatroid):
+        cols = [None] * m.n
+        for e, c in enumerate(m.columns):
+            cols[perm[e]] = c
+        return LinearMatroid(m.field, cols)
+    r = m.full_rank
+    bases = [mask_of(perm[e] for e in bits(b)) for b in ksubset_masks(m.n, r) if m.rank(b) == r]
+    return BasesMatroid(m.n, bases)
+
+
+def test_are_isomorphic_matches_all_subsets_search():
+    # checking only prefix subsets below full rank prunes exactly as checking
+    # all of them, so the search returns the same map
+    rng = random.Random(7)
+    hosts = [
+        BasesMatroid(3, [0]),                     # r = 0: three loops
+        BasesMatroid(4, [0b0001, 0b0010, 0b1000]),  # r = 1 with a loop
+        FANO,
+        theta_graph(4).matroid,
+        LinearMatroid(FANO.field, [(1, 0, 1), (0, 1, 1), (1, 1, 0), (0, 0, 0), (1, 0, 1)]),
+        materialize_bases(free_swirl(4).matroid),
+        uniform(3, 7).matroid,
+    ]
+    for m in hosts:
+        for _ in range(3):
+            perm = list(range(m.n))
+            rng.shuffle(perm)
+            other = _relabel(m, perm)
+            cert = are_isomorphic(m, other)
+            assert cert is not None
+            assert cert.mapping == _all_subsets_iso(m, other)
+            assert iso_is_valid(m, other, cert.mapping)
+    spike, swirl = free_spike(4).matroid, free_swirl(4).matroid
+    assert are_isomorphic(spike, swirl) is None
+    assert _all_subsets_iso(spike, swirl) is None
 
 
 def test_are_isomorphic_with_loops():
