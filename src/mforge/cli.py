@@ -237,7 +237,9 @@ def _cmd_eventual_base(args) -> int:
 
 def _cmd_verify(args) -> int:
     caps = _caps_from(args)
-    report = run_suite(args.suite, seed=args.seed, jobs=args.jobs, caps=caps)
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
+    report = run_suite(args.suite, seed=args.seed, caps=caps)
     lines = [json.dumps(c, sort_keys=True) for c in report.cases]
     summary = {
         "suite": report.suite,
@@ -245,7 +247,7 @@ def _cmd_verify(args) -> int:
         "cases": len(report.cases),
         "failures": sum(1 for c in report.cases if not c["pass"]),
         "seed": report.seed,
-        "jobs": report.jobs,
+        "jobs": args.jobs,
         "elapsed_ms": report.elapsed_ms,
         "prng": report.meta["prng"],
     }
@@ -304,7 +306,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="echoed in the summary; cases always run in order")
     p.add_argument("--caps", help="override corpus caps, e.g. max_ground=32")
     p.add_argument("--out", help="write the JSON-lines report here instead of stdout")
     p.set_defaults(fn=_cmd_verify)
@@ -316,10 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (MforgeError, ValueError) as exc:
-        print(f"mforge: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MforgeError, ValueError, OSError) as exc:
         print(f"mforge: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a crash is not the clean negative exit 1

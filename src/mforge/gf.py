@@ -9,8 +9,7 @@ degree k over GF(p), comparing coefficient vectors constant term first;
 for k = 1 the placeholder modulus is the polynomial x.
 
 For q <= 256 addition and multiplication tables are precomputed, so the
-arithmetic operations are O(1) lookups.  GF objects are immutable and safe
-to share between threads.
+arithmetic operations are O(1) lookups.  GF objects are immutable.
 """
 
 from __future__ import annotations

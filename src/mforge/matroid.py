@@ -20,9 +20,7 @@ ground set, which is smaller than its parent's and one rank lower per
 contracted element.
 
 All matroids are immutable after construction.  The only mutable state is
-the per-instance rank memo, which behaves as a pure cache: concurrent
-duplicate computation is harmless, so instances may be shared across
-worker threads without locking.
+the per-instance rank memo, which behaves as a pure cache.
 
 Enumerative operations (flats, circuits, cocircuits) are capped:
 ground sets up to ENUM_CAP elements, circuits up to CIRCUIT_CAP.  Rank
@@ -84,15 +82,6 @@ def ksubset_masks(n: int, k: int):
         c = x & -x
         r = x + c
         x = (((x ^ r) >> 2) // c) | r
-
-
-def submasks_of(n: int, positions: list[int], k: int):
-    """k-subsets of the given bit positions, ascending by expanded mask."""
-    for small in ksubset_masks(len(positions), k):
-        m = 0
-        for i in bits(small):
-            m |= 1 << positions[i]
-        yield m
 
 
 class Matroid:
@@ -808,7 +797,7 @@ class ParallelConnectionView(Matroid):
 # -- helpers ------------------------------------------------------------------------
 
 
-def materialize_bases(m: Matroid, max_bases: int = BASES_VERIFY_CAP, verify: bool = False) -> BasesMatroid:
+def materialize_bases(m: Matroid, max_bases: int = BASES_VERIFY_CAP) -> BasesMatroid:
     """Explicit-bases copy of any matroid (for cross-checking views)."""
     r = m.full_rank
     if math.comb(m.n, r) > 2_000_000:
@@ -816,7 +805,7 @@ def materialize_bases(m: Matroid, max_bases: int = BASES_VERIFY_CAP, verify: boo
     bases = [mask for mask in ksubset_masks(m.n, r) if m.rank(mask) == r]
     if len(bases) > max_bases:
         raise SizeCapError(f"{len(bases)} bases exceed cap {max_bases}")
-    return BasesMatroid(m.n, bases, verify=verify)
+    return BasesMatroid(m.n, bases, verify=False)
 
 
 def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:

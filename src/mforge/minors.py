@@ -21,7 +21,7 @@ from .errors import (
     RepresentableInputError,
     SizeCapError,
 )
-from .matroid import Matroid, bits, ksubset_masks
+from .matroid import Matroid, bits, ksubset_masks, mask_of
 
 ISO_CAP = 20
 MINOR_CAP = 24
@@ -519,12 +519,12 @@ def unavoidable_minor_of_extension(
             basis |= gb
             rk += 1
     if r_flat >= mm:
-        keep_ind = _lowest_bits(basis_flat, mm)
+        keep_ind = mask_of(bits(basis_flat)[:mm])
         contract = basis ^ keep_ind
         tag_k = mm
     else:
-        j1 = _lowest_bits(basis_flat, r_flat - 2)
-        j2 = _lowest_bits(basis & ~basis_flat, mm - (r_flat - 2))
+        j1 = mask_of(bits(basis_flat)[: r_flat - 2])
+        j2 = mask_of(bits(basis & ~basis_flat)[: mm - (r_flat - 2)])
         contract = j1 | j2
         tag_k = 2
     tag = f"P({mm - 1},{q},{tag_k})"
@@ -543,12 +543,3 @@ def unavoidable_minor_of_extension(
     if cert is None:
         raise LemmaViolationError(f"contraction recipe did not produce {tag}")
     return tag, MinorWitness(contract, dmask, cert)
-
-
-def _lowest_bits(mask: int, k: int) -> int:
-    out = 0
-    for _ in range(k):
-        low = mask & -mask
-        out |= low
-        mask ^= low
-    return out

@@ -188,39 +188,6 @@ def brute_force_linear_rep(m: Matroid, q: int) -> LinearMatroid | None:
 # -- class membership and eventual bases -------------------------------------------------
 
 
-def membership_flags(kind: str, param: int, q: int) -> dict[str, bool]:
-    """Whether the named matroid lies in the three line-bounded classes over GF(q).
-
-    kind "line": param is the number of points m; in_L iff m <= q+1, in_Lcirc
-    iff m <= q*q+q+1 (both exact), in_Llambda when m <= q*q+1 (containment
-    guarantee only; False here never means proven absence).
-    kind "spike"/"swirl": param is the rank k; spikes need k >= 3, swirls
-    k >= 4, q >= 3.
-    """
-    if prime_power(q) is None:
-        raise ValueError(f"{q} is not a prime power")
-    if kind == "line":
-        if param < 2:
-            raise ValueError("a line needs at least 2 points")
-        return {
-            "in_L": param <= q + 1,
-            "in_Lcirc": param <= q * q + q + 1,
-            "in_Llambda": param <= q * q + 1,
-        }
-    if kind == "spike":
-        return {
-            "in_L": spike_rep_predicate(param, q),
-            "in_Lcirc": True,
-            "in_Llambda": True,
-        }
-    if kind == "swirl":
-        if param < 4:
-            raise ValueError("swirl membership rules need rank at least 4")
-        in_l = swirl_rep_predicate(param, q)
-        return {"in_L": in_l, "in_Lcirc": in_l, "in_Llambda": True}
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class ClassSpec:
     """Excluded-minor description: no (ell+2)-point line, no rank-k spikes or
@@ -273,6 +240,11 @@ def _descr(kind: str, param: int) -> str:
 
 IN, OUT, UNKNOWN = "in", "out", "unknown"
 
+# the last q at which each structure may lie outside L(q), as an offset from
+# its parameter: an m-point line at q = m - 2, a rank-k spike at k + 1, a
+# rank-k swirl at k + 2 (from the next q on, every rule above puts it in L(q))
+_LAST_OUT = {"line": -2, "spike": 1, "swirl": 2}
+
 
 def _member(kind: str, param: int, q: int, cls: str) -> str:
     """Three-valued membership; UNKNOWN is never treated as absence."""
@@ -293,6 +265,29 @@ def _member(kind: str, param: int, q: int, cls: str) -> str:
     if cls == "Lcirc" and param < 4 and in_l == OUT:
         return UNKNOWN  # the iff transfer rule is only stated from rank 4 up
     return in_l
+
+
+def membership_flags(kind: str, param: int, q: int) -> dict[str, bool]:
+    """Whether the named matroid lies in the three line-bounded classes over GF(q).
+
+    kind "line": param is the number of points m; in_L iff m <= q+1, in_Lcirc
+    iff m <= q*q+q+1 (both exact), in_Llambda when m <= q*q+1 (containment
+    guarantee only; False here never means proven absence).
+    kind "spike"/"swirl": param is the rank k; spikes need k >= 3, swirls
+    k >= 4, q >= 3.  A flag is True exactly when _member answers IN.
+    """
+    if prime_power(q) is None:
+        raise ValueError(f"{q} is not a prime power")
+    if kind == "line":
+        if param < 2:
+            raise ValueError("a line needs at least 2 points")
+    elif kind == "swirl" and param < 4:
+        raise ValueError("swirl membership rules need rank at least 4")
+    elif kind in ("spike", "swirl"):
+        _check_pred_params(param, q)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return {f"in_{c}": _member(kind, param, q, c) == IN for c in ("L", "Lcirc", "Llambda")}
 
 
 def prime_powers_upto(n: int) -> list[int]:
@@ -325,21 +320,10 @@ def eventual_base(spec: ClassSpec) -> BaseReport:
     lower-bound-only rule can never fake a blocker or an absence.
     """
     excl = spec.exclusions()
-    elig_bound = []
-    tail_bound = []
-    for kind, param in excl:
-        if kind == "line":
-            elig_bound.append(param - 2)
-            tail_bound.append(param - 1)
-        elif kind == "spike":
-            elig_bound.append(param + 1)
-            tail_bound.append(param + 2)
-        else:
-            elig_bound.append(param + 2)
-            tail_bound.append(param + 3)
+    last_out = [param + _LAST_OUT[kind] for kind, param in excl]
     eligible = [
         q
-        for q in prime_powers_upto(min(elig_bound))
+        for q in prime_powers_upto(min(last_out))
         if all(_member(k, p, q, "L") == OUT for k, p in excl)
     ]
     if not eligible:
@@ -348,7 +332,7 @@ def eventual_base(spec: ClassSpec) -> BaseReport:
 
     blocking: dict = {}
     gaps: list = []
-    for qq in prime_powers_upto(max(tail_bound)):
+    for qq in prime_powers_upto(max(last_out) + 1):
         if qq <= base:
             continue
         hit = next((d for d in excl if _member(*d, qq, "L") == IN), None)

@@ -2,12 +2,9 @@
 
 Each suite is a named list of independent cases.  A case is a thunk
 returning a JSON-serializable dict with at least a "pass" bool; the
-runner collects them (optionally on a thread pool), sorts by case id,
-and wraps them in a SuiteReport.  Case ids are stable strings, so two
-runs with the same seed produce identical reports line for line.
-
-Thunks only read shared matroids (rank memos are fill-only caches), so
-running them concurrently is safe.
+runner calls them in order on the calling thread, sorts the results by
+case id, and wraps them in a SuiteReport.  Case ids are stable strings,
+so two runs with the same seed produce identical reports line for line.
 """
 
 from __future__ import annotations
@@ -15,7 +12,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .constructions import (
@@ -63,7 +59,6 @@ from .representability import (
 class SuiteReport:
     suite: str
     seed: int
-    jobs: int
     passed: bool
     cases: list[dict]
     elapsed_ms: int
@@ -551,40 +546,24 @@ SUITES = {
 }
 
 
-def run_suite(
-    suite: str,
-    seed: int = 0,
-    jobs: int = 1,
-    caps: CorpusCaps | None = None,
-) -> SuiteReport:
+def run_suite(suite: str, seed: int = 0, caps: CorpusCaps | None = None) -> SuiteReport:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     caps = caps or CorpusCaps()
     started = time.monotonic()
-    named = SUITES[suite](seed, caps)
-
-    def run_one(item):
-        cid, thunk = item
+    results = []
+    for cid, thunk in SUITES[suite](seed, caps):
         try:
             out = thunk()
         except Exception as exc:  # a crashed case is a failed case, not a crashed run
             out = _fail(f"raised {type(exc).__name__}: {exc}")
         out["case"] = cid
-        return out
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, named))
-    else:
-        results = [run_one(item) for item in named]
+        results.append(out)
     results.sort(key=lambda c: c["case"])
     elapsed = int((time.monotonic() - started) * 1000)
     return SuiteReport(
         suite=suite,
         seed=seed,
-        jobs=jobs,
         passed=all(c["pass"] for c in results),
         cases=results,
         elapsed_ms=elapsed,

@@ -109,6 +109,7 @@ def test_verify_jobs_deterministic(tmp_path, capsys):
         for l in p.read_text().splitlines()
     ]
     assert strip(p1) == strip(p2)
+    assert json.loads(p2.read_text().splitlines()[-1])["jobs"] == 4
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -151,6 +151,12 @@ def test_membership_flags_spike_swirl():
         membership_flags("swirl", 3, 5)  # transfer rule starts at rank 4
     with pytest.raises(ValueError):
         membership_flags("spike", 2, 5)
+    with pytest.raises(ValueError, match="field order must be at least 3"):
+        membership_flags("spike", 5, 2)
+    with pytest.raises(ValueError, match="unknown kind 'plane'"):
+        membership_flags("plane", 5, 3)
+    with pytest.raises(ValueError, match="6 is not a prime power"):
+        membership_flags("spike", 5, 6)
 
 
 def test_class_spec_validation():

@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from mforge.corpus import CorpusCaps
@@ -31,19 +33,28 @@ def test_report_shape():
     rep = run_suite("eventual-base")
     assert rep.suite == "eventual-base"
     assert rep.passed is True
-    assert rep.seed == 0 and rep.jobs == 1
+    assert rep.seed == 0
     assert rep.elapsed_ms >= 0
     ids = [c["case"] for c in rep.cases]
     assert ids == sorted(ids)
     assert all(c["pass"] for c in rep.cases)
 
 
-def test_jobs_do_not_change_results():
-    a = run_suite("field-axioms", jobs=1)
-    b = run_suite("field-axioms", jobs=3)
-    key = lambda rep: [(c["case"], c["pass"]) for c in rep.cases]
-    assert key(a) == key(b)
-    assert b.jobs == 3
+def test_cases_run_in_order_on_calling_thread(monkeypatch):
+    calls = []
+
+    def case(cid):
+        def thunk():
+            calls.append((cid, threading.get_ident()))
+            return {"pass": True}
+
+        return cid, thunk
+
+    order = ["c[2]", "a[3]", "b[1]"]
+    monkeypatch.setitem(SUITES, "field-axioms", lambda seed, caps: [case(c) for c in order])
+    rep = run_suite("field-axioms")
+    assert calls == [(cid, threading.get_ident()) for cid in order]
+    assert [c["case"] for c in rep.cases] == sorted(order)
 
 
 def test_caps_thread_through():
