@@ -18,7 +18,6 @@ import sys
 from dataclasses import replace
 
 from .constructions import (
-    NamedMatroid,
     ag,
     density_witness,
     free_spike,
@@ -34,6 +33,7 @@ from .errors import MforgeError, SchemaError
 from .minors import are_isomorphic, has_minor, iso_is_valid
 from .representability import (
     ClassSpec,
+    eventual_base,
     spike_rep_predicate,
     spike_witness_search,
     swirl_rep_predicate,
@@ -124,11 +124,11 @@ def _cmd_construct(args) -> int:
     params = _parse_params(args.params)
     _check_params(args.kind, params)
     nm = _CONSTRUCTORS[args.kind](**params)
-    m = nm.matroid if isinstance(nm, NamedMatroid) else nm
+    m = nm.matroid
     if args.out:
         save_path(m, args.out)
     summary = {
-        "name": getattr(nm, "name", args.kind),
+        "name": nm.name,
         "n": m.n,
         "rank": m.full_rank,
         "epsilon": m.epsilon(),
@@ -217,8 +217,6 @@ def _parse_ranks(text: str | None) -> frozenset[int]:
 
 
 def _cmd_eventual_base(args) -> int:
-    from .representability import eventual_base
-
     spec = ClassSpec(
         line_ell=args.ell,
         spike_ranks=_parse_ranks(args.spikes),

@@ -4,9 +4,10 @@ Subsets of the ground set are plain ints used as bitmasks (bit e set means
 element e is in the subset).  Every matroid exposes the same query surface
 through a memoized rank oracle; concrete backends are
 
-  LinearMatroid   columns of a matrix over GF(q), rank by Gaussian elimination
-                  (over GF(2) on columns packed into ints, reduced by XOR),
-                  flats by looking up the projective points of each subspace
+  LinearMatroid   columns of a matrix over GF(q), each mapped once to its
+                  projective point in the column span; rank by Gaussian
+                  elimination on those points (over GF(2) packed into ints and
+                  reduced by XOR), point classes and flats by point lookup
   BasesMatroid    an explicit list of bases, rank r(X) = max |X & B|
 
 and lazy views (minor, dual, truncation, principal extension, direct sum,
@@ -326,18 +327,15 @@ class Matroid:
 # -- linear backend ------------------------------------------------------------
 
 
-def reduce_vector(gf: GF, pivots: list, v, coords: list[int] | None = None):
+def reduce_vector(gf: GF, pivots: list, v):
     """Clear v's entries at the pivot rows, pivot by pivot in list order.
 
-    pivots holds (row, vector) pairs whose vector is 1 at row.  When coords
-    is given, coords[i] receives the multiplier used for pivot i.  v itself
-    is never modified.
+    pivots holds (row, vector) pairs whose vector is 1 at row.  v itself is
+    never modified.
     """
-    for i, (row, pv) in enumerate(pivots):
+    for row, pv in pivots:
         f = v[row]
         if f:
-            if coords is not None:
-                coords[i] = f
             v = gf.sub_scaled(v, f, pv)
     return v
 
@@ -360,11 +358,13 @@ class LinearMatroid(Matroid):
     """Column matroid of a matrix over GF(q).
 
     Columns are tuples of element indices of the field, one tuple per ground
-    element, all of the same length d.  Over GF(2) each column is also
-    packed into one int (bit i holds row i), and rank reduces those ints by
-    XOR.  Flats come from point lookup: every column is mapped once to its
-    projective point in the column span, and each echelon subspace collects
-    the columns sitting on its points.
+    element, all of the same length d.  One table, built on construction,
+    answers every rank question: points[e] is the _point key of column e
+    projected onto the pivot rows of the column span, so it is a vector of
+    length full_rank (a packed int over GF(2), a normalized tuple otherwise,
+    falsy for a loop).  Rank eliminates those points; point classes are the
+    columns on each point; flats collect the columns on the points of each
+    echelon subspace.
     """
 
     _linear_flats = True
@@ -381,19 +381,30 @@ class LinearMatroid(Matroid):
         self.field = field
         self.columns = cols
         self.dim = len(cols[0]) if cols else 0
-        self.packed = tuple(_point(field, c) for c in cols) if field.q == 2 else None
+        pivots: list[tuple[int, list[int]]] = []
+        for c in cols:
+            if len(pivots) == self.dim:
+                break
+            push_pivot(field, pivots, c)
+        # Each pivot is 1 at its own row and 0 at the rows of earlier pivots,
+        # so projecting onto the pivot rows is injective on the column span.
+        rows = [row for row, _ in pivots]
+        self.points = tuple(_point(field, [c[i] for i in rows]) for c in cols)
+        self._full_rank = len(pivots)
+        self._on_point: dict = {}  # point -> mask of its columns, by lowest column
+        self._loops = 0
+        for e, p in enumerate(self.points):
+            if p:
+                self._on_point[p] = self._on_point.get(p, 0) | (1 << e)
+            else:
+                self._loops |= 1 << e
 
     def _rank_mask(self, mask: int) -> int:
-        vectors = self.columns if self.packed is None else self.packed
-        return span_rank(self.field, map(vectors.__getitem__, _iter_bits(mask)), self.dim)
+        points = map(self.points.__getitem__, _iter_bits(mask & ~self._loops))
+        return span_rank(self.field, points, self._full_rank)
 
     def point_classes(self) -> list[int]:
-        groups: dict[tuple[int, ...], int] = {}
-        for e in range(self.n):
-            key = _point(self.field, self.columns[e])
-            if key:
-                groups[key] = groups.get(key, 0) | (1 << e)
-        return sorted(groups.values(), key=lambda m: m & -m)
+        return list(self._on_point.values())
 
     def restrict_columns(self, keep) -> "LinearMatroid":
         keep_mask = self.as_mask(keep)
@@ -417,19 +428,6 @@ class LinearMatroid(Matroid):
 
     # -- subspace-indexed flat enumeration ---------------------------------------
 
-    def _span_coords(self) -> list[tuple[int, ...]]:
-        """Coordinates of every column in a basis of the column span."""
-        gf = self.field
-        pivots: list[tuple[int, list[int]]] = []
-        for c in self.columns:
-            push_pivot(gf, pivots, c)
-        coords = []
-        for c in self.columns:
-            cs = [0] * len(pivots)
-            reduce_vector(gf, pivots, c, cs)
-            coords.append(tuple(cs))
-        return coords
-
     def _flats_impl(self, k: int) -> list[int]:
         r = self.full_rank
         gf = self.field
@@ -439,22 +437,14 @@ class LinearMatroid(Matroid):
                 "LinearMatroid flats fall back to the generic search: %d rank-%d subspaces "
                 "of GF(%d)^%d exceed %d", count, k, gf.q, r, SUBSPACE_ENUM_CAP)
             return super()._flats_impl(k)
-        # Each column's projective point in span coordinates; loops have none.
-        on_point: dict = {}
-        loops = 0
-        for e, c in enumerate(self._span_coords()):
-            p = _point(gf, c)
-            if p:
-                on_point[p] = on_point.get(p, 0) | (1 << e)
-            else:
-                loops |= 1 << e
+        on_point = self._on_point
         out = []
         for rows in _echelon_bases(r, k, gf):
             hit = [p for p in _subspace_points(gf, rows) if p in on_point]
             # The matroid need not be a full geometry: keep only the
             # subspaces spanned by the columns on their points.
             if span_rank(gf, hit, k) == k:
-                members = loops
+                members = self._loops
                 for p in hit:
                     members |= on_point[p]
                 out.append(members)
@@ -564,7 +554,11 @@ def _echelon_bases(r: int, k: int, gf: GF):
 
 
 class BasesMatroid(Matroid):
-    """Matroid given by an explicit list of bases (as bitmasks or id lists)."""
+    """Matroid given by an explicit list of bases (as bitmasks or id lists).
+
+    verify=True checks the basis-exchange axiom; more than BASES_VERIFY_CAP
+    bases raise SizeCapError rather than load unchecked.
+    """
 
     def __init__(self, n: int, bases, verify: bool = True):
         super().__init__(n)
@@ -579,7 +573,10 @@ class BasesMatroid(Matroid):
         self.bases = bs
         self.bases_set = set(bs)
         self.r = r
-        if verify and len(bs) <= BASES_VERIFY_CAP:
+        if verify:
+            if len(bs) > BASES_VERIFY_CAP:
+                raise SizeCapError(
+                    f"exchange check needs at most {BASES_VERIFY_CAP} bases, got {len(bs)}")
             self._verify_exchange()
 
     def _verify_exchange(self):

@@ -272,13 +272,7 @@ def _line_minor_witness(m: Matroid, size: int) -> MinorWitness | None:
             keep |= cls & -cls
         kept_m = mc.lift_mask(keep)
         dmask = full ^ basis ^ kept_m
-        cand = m.minor(basis, dmask)
-        if cand.full_rank != 2:
-            continue
-        ok = all(cand.rank(1 << e) == 1 for e in range(cand.n)) and all(
-            cand.rank(p) == 2 for p in ksubset_masks(cand.n, 2)
-        )
-        if ok:
+        if _is_uniform_line(m.minor(basis, dmask)) == size:
             return MinorWitness(basis, dmask, IsoCertificate(tuple(range(size))))
     return None
 

@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .constructions import projective_points
+from .constructions import pg
 from .errors import SizeCapError
 from .gf import GF, is_prime, prime_power
-from .matroid import LinearMatroid, Matroid, bits, push_pivot
+from .matroid import LinearMatroid, Matroid
 
 WITNESS_Q_CAP = 13
 WITNESS_K_CAP = 10
@@ -132,11 +132,13 @@ def swirl_rep_predicate(k: int, q: int) -> bool:
 def brute_force_linear_rep(m: Matroid, q: int) -> LinearMatroid | None:
     """Search for a GF(q) representation by distinct projective points.
 
-    Backtracking assignment with rank-agreement pruning on every subset of
-    the assigned prefix; a found representation is re-verified on all 2^n
-    subsets before being returned, and absence is definitive.  The input
-    must be simple (distinct points cannot represent loops or parallel
-    pairs).  Capped at rank 3, 8 elements, q <= 7.
+    Backtracking assignment of the columns of PG(r-1, q), with
+    rank-agreement pruning on every subset of the assigned prefix, ranked
+    by the geometry's memoized oracle; a found representation is
+    re-verified on all 2^n subsets before being returned, and absence is
+    definitive.  The input must be simple (distinct points cannot
+    represent loops or parallel pairs).  Capped at rank 3, 8 elements,
+    q <= 7.
     """
     r = m.full_rank
     if r > 3 or m.n > 8 or q > 7:
@@ -145,40 +147,30 @@ def brute_force_linear_rep(m: Matroid, q: int) -> LinearMatroid | None:
         raise ValueError("needs a simple matroid")
     if m.n == 0:
         return LinearMatroid(GF(q), [])
-    gf = GF(q)
-    points = projective_points(q, r)
-    cols: list[tuple[int, ...]] = []
-    used = [False] * len(points)
-
-    def lin_rank(mask: int) -> int:
-        pivots: list = []
-        return sum(push_pivot(gf, pivots, cols[e]) for e in bits(mask))
+    geometry = pg(r, q).matroid  # one column per projective point, in order
+    on = [0]  # on[sub]: mask of the points placed for the elements in sub
 
     def place(e: int) -> bool:
         if e == m.n:
             return True
         # the first element may go to the first unit point: projective maps
         # act transitively, so this loses no representations
-        cand = [points.index((1,) + (0,) * (r - 1))] if e == 0 else range(len(points))
+        cand = [geometry.columns.index((1,) + (0,) * (r - 1))] if e == 0 else range(geometry.n)
         for i in cand:
-            if used[i]:
+            bit = 1 << i
+            if on[-1] & bit:
                 continue
-            cols.append(points[i])
-            ok = all(
-                m.rank(sub | (1 << e)) == lin_rank(sub | (1 << e))
-                for sub in range(1 << e)
-            )
-            if ok:
-                used[i] = True
+            if all(m.rank(sub | (1 << e)) == geometry.rank(on[sub] | bit) for sub in range(1 << e)):
+                on.extend([x | bit for x in on])
                 if place(e + 1):
                     return True
-                used[i] = False
-            cols.pop()
+                del on[1 << e:]
         return False
 
     if not place(0):
         return None
-    rep = LinearMatroid(gf, cols)
+    rep = LinearMatroid(geometry.field, [geometry.columns[on[1 << e].bit_length() - 1]
+                                         for e in range(m.n)])
     for mask in range(1 << m.n):
         if rep.rank(mask) != m.rank(mask):
             return None

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -177,6 +178,17 @@ def test_verify_rejects_jobs_below_one(capsys):
     code, out, err = run(capsys, "verify", "field-axioms", "--jobs", "0")
     assert code == 2
     assert out == "" and len(err.splitlines()) == 1
+
+
+def test_unverifiable_bases_document_exits_two(tmp_path, capsys):
+    # 5006 bases exceed the exchange-check cap: refused, not loaded unchecked
+    bases = [[0, *b] for b in itertools.combinations(range(1, 16), 6)] + [list(range(1, 8))]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"kind": "bases", "rank": 7, "n": 16, "bases": bases}))
+    code, out, err = run(capsys, "eps", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("mforge: exchange check needs at most 5000 bases, got 5006")
 
 
 def test_internal_error_exits_two(capsys):

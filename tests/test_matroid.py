@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mforge import (
     BasesMatroid,
@@ -24,7 +26,7 @@ from mforge import (
     theta_graph,
     uniform,
 )
-from mforge.matroid import MinorView, push_pivot
+from mforge.matroid import BASES_VERIFY_CAP, MinorView, push_pivot
 
 FANO = pg(3, 2).matroid
 U24 = uniform(2, 4).matroid
@@ -132,14 +134,23 @@ def _reference_rank(m, x):
     return len(pivots)
 
 
-def _check_linear_kernel(m):
+def _check_point_table(m):
+    # rank, point classes and flats read the one point table; each must
+    # match its definition through the generic methods
+    assert m.point_classes() == Matroid.point_classes(m)
     for k in range(m.full_rank + 1):
         assert sorted(m._flats_impl(k)) == sorted(Matroid._flats_impl(m, k))
     if m.n > 10:
-        return  # the subset sweeps below are exponential in n
-    assert rank_axioms_hold(m) is None
+        return  # the subset sweeps are exponential in n
     for x in range(1 << m.n):
         assert m.rank(x) == _reference_rank(m, x)
+
+
+def _check_linear_kernel(m):
+    _check_point_table(m)
+    if m.n > 10:
+        return
+    assert rank_axioms_hold(m) is None
     if m.n > 8:
         return
     for sub in range(1 << m.n):
@@ -178,11 +189,39 @@ def test_packed_binary_kernel_differential(dim):
     rng = random.Random(dim)
     for _ in range(3):
         m = _random_binary(rng, dim, rng.randint(6, 9))
-        assert m.packed is not None and m.full_rank < dim
+        assert all(type(p) is int and p >> m.full_rank == 0 for p in m.points)
+        assert m.loops() and any(c & (c - 1) for c in m.point_classes())
+        assert m.full_rank < dim
         _check_linear_kernel(m)
     theta = theta_graph(dim - 2).matroid
     assert theta.dim == dim
     _check_linear_kernel(theta)
+
+
+@st.composite
+def _linear_matroids(draw):
+    """GF(2..9) columns, n <= 8, with loops, parallel pairs and rank < dim."""
+    gf = field_new(draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9])))
+    dim = draw(st.integers(1, 4))
+    zero_row = draw(st.none() | st.integers(0, dim - 1))
+    entry = st.integers(0, gf.q - 1)
+    cols = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["fresh", "loop", "parallel"]))
+        if kind == "loop":
+            cols.append((0,) * dim)
+        elif kind == "parallel" and cols:
+            scale = draw(st.integers(1, gf.q - 1))
+            cols.append(tuple(gf.mul(scale, x) for x in draw(st.sampled_from(cols))))
+        else:
+            cols.append(tuple(0 if i == zero_row else draw(entry) for i in range(dim)))
+    return LinearMatroid(gf, cols)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(_linear_matroids())
+def test_point_table_property(m):
+    _check_point_table(m)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -414,6 +453,19 @@ def test_bases_backend_verification():
     m = BasesMatroid(4, [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100], verify=True)
     assert m.full_rank == 2
     assert m.epsilon() == 4
+
+
+def test_bases_verification_above_cap_refuses():
+    # not a matroid: the 7-sets containing 0 plus {1..7}, 5006 sets
+    bad = [mask_of(b) | 1 for b in itertools.combinations(range(1, 16), 6)] + [0b11111110]
+    assert len(bad) > BASES_VERIFY_CAP
+    with pytest.raises(SizeCapError, match="exchange check"):
+        BasesMatroid(16, bad, verify=True)
+    assert BasesMatroid(16, bad, verify=False).full_rank == 7
+    # the same shape under the cap is checked and rejected
+    small = [mask_of(b) | 1 for b in itertools.combinations(range(1, 8), 3)] + [0b11110]
+    with pytest.raises(ValueError, match="basis exchange fails"):
+        BasesMatroid(8, small, verify=True)
 
 
 def test_rank_axioms_hold_detects_bad_function():
