@@ -6,8 +6,10 @@ through a memoized rank oracle; concrete backends are
 
   LinearMatroid   columns of a matrix over GF(q), each mapped once to its
                   projective point in the column span; rank by Gaussian
-                  elimination on those points (over GF(2) packed into ints and
-                  reduced by XOR), point classes and flats by point lookup
+                  elimination on those points (bit operations over GF(2),
+                  one int per point, and GF(3), two ints per point: the
+                  positions holding 1 and those holding 2), point classes
+                  and flats by point lookup
   BasesMatroid    an explicit list of bases, rank r(X) = max |X & B|
 
 and lazy views (minor, dual, truncation, principal extension, direct sum,
@@ -361,10 +363,12 @@ class LinearMatroid(Matroid):
     element, all of the same length d.  One table, built on construction,
     answers every rank question: points[e] is the _point key of column e
     projected onto the pivot rows of the column span, so it is a vector of
-    length full_rank (a packed int over GF(2), a normalized tuple otherwise,
-    falsy for a loop).  Rank eliminates those points; point classes are the
-    columns on each point; flats collect the columns on the points of each
-    echelon subspace.
+    length full_rank (a packed int over GF(2), a normalized (ones, twos)
+    pair of ints over GF(3), a normalized tuple otherwise, falsy for a
+    loop).  Rank eliminates those points; point classes are the columns on
+    each point; flats collect the columns on the points of each echelon
+    subspace, or come from the generic search when that visits fewer sets
+    than the subspaces have points.
     """
 
     _linear_flats = True
@@ -432,14 +436,24 @@ class LinearMatroid(Matroid):
         r = self.full_rank
         gf = self.field
         count = _gaussian_binomial(r, k, gf.q)
+        # The walk visits every point of every rank-k subspace; the search
+        # visits at most C(n, k) independent sets at about n queries each.
+        walk = count * (gf.q**k - 1) // (gf.q - 1)
+        if self.n <= ENUM_CAP and walk > math.comb(self.n, k) * self.n:
+            return super()._flats_impl(k)
         if count > SUBSPACE_ENUM_CAP:
             logging.getLogger("mforge").debug(
                 "LinearMatroid flats fall back to the generic search: %d rank-%d subspaces "
                 "of GF(%d)^%d exceed %d", count, k, gf.q, r, SUBSPACE_ENUM_CAP)
             return super()._flats_impl(k)
+        return self._subspace_flats(k)
+
+    def _subspace_flats(self, k: int) -> list[int]:
+        """Rank-k flats from the columns on the points of each subspace."""
+        gf = self.field
         on_point = self._on_point
         out = []
-        for rows in _echelon_bases(r, k, gf):
+        for rows in _echelon_bases(self.full_rank, k, gf):
             hit = [p for p in _subspace_points(gf, rows) if p in on_point]
             # The matroid need not be a full geometry: keep only the
             # subspaces spanned by the columns on their points.
@@ -454,14 +468,24 @@ class LinearMatroid(Matroid):
 def _point(gf: GF, v):
     """Key of the projective point of v, falsy for the zero vector.
 
-    Over GF(2) the key is v packed into an int, bit i holding entry i.
-    Otherwise it is v scaled so its first nonzero entry is 1, as a tuple.
+    Over GF(2) the key is v packed into an int, bit i holding entry i.  Over
+    GF(3) it is the pair of ints (ones, twos) whose bit i is set when entry i
+    is 1, resp. 2, with the planes swapped (v negated) if need be so that the
+    lowest nonzero entry is 1.  Otherwise it is v scaled so its first nonzero
+    entry is 1, as a tuple.
     """
     if gf.q == 2:
         out = 0
         for x in reversed(v):
             out = out + out + x
         return out
+    if gf.q == 3:
+        ones = sum(1 << i for i, x in enumerate(v) if x == 1)
+        twos = sum(1 << i for i, x in enumerate(v) if x == 2)
+        nz = ones | twos
+        if not nz:
+            return None
+        return (twos, ones) if twos & nz & -nz else (ones, twos)
     nz = next((i for i, x in enumerate(v) if x), None)
     if nz is None:
         return None
@@ -469,12 +493,21 @@ def _point(gf: GF, v):
     return tuple(gf.mul(ix, x) for x in v)
 
 
+def _add3(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
+    """(a1, a2) + (b1, b2) over GF(3), each vector given as (ones, twos)."""
+    return a2 ^ ((a1 ^ (a2 | b1)) & ~b2), a1 ^ ((a2 ^ (a1 | b2)) & ~b1)
+
+
 def span_rank(gf: GF, vectors, limit: int) -> int:
     """Rank of the vectors, stopping once it reaches limit.
 
-    Over GF(2) the vectors are packed ints, reduced by XOR against
-    (lowest bit, row) pivots in list order: the pivot rule of reduce_vector.
-    Otherwise they are sequences of field indices, reduced by push_pivot.
+    Over GF(2) and GF(3) the vectors are _point keys, and each is reduced
+    against (lowest bit, row) pivots in list order, the pivot rule of
+    reduce_vector: over GF(2) by XOR; over GF(3), where a pivot is stored
+    with 1 at its lowest bit, by adding (_add3) the negated pivot, its
+    planes swapped, when the vector holds 1 there and the pivot when it
+    holds 2.  Otherwise the vectors are sequences of field indices, reduced
+    by push_pivot.
     """
     if gf.q == 2:
         pivots: list[tuple[int, int]] = []
@@ -487,6 +520,23 @@ def span_rank(gf: GF, vectors, limit: int) -> int:
                 if len(pivots) == limit:
                     break
         return len(pivots)
+    if gf.q == 3:
+        planes: list[tuple[int, int, int]] = []
+        for o, t in vectors:
+            for low, p1, p2 in planes:
+                if o & low:
+                    o, t = _add3(o, t, p2, p1)
+                elif t & low:
+                    o, t = _add3(o, t, p1, p2)
+            nz = o | t
+            if nz:
+                low = nz & -nz
+                if t & low:
+                    o, t = t, o
+                planes.append((low, o, t))
+                if len(planes) == limit:
+                    break
+        return len(planes)
     rows: list[tuple[int, list[int]]] = []
     for v in vectors:
         if push_pivot(gf, rows, v) and len(rows) == limit:
@@ -500,12 +550,22 @@ def _subspace_points(gf: GF, rows) -> list:
     Rows and points are _point keys.  Over GF(2) each point is one XOR away
     from a point listed before it.  Otherwise a point is the combination
     whose first nonzero coefficient is 1; the RREF pivots make that
-    combination already normalized.
+    combination already normalized.  Over GF(3) the span grows by those
+    points and their negations, which are plane swaps.
     """
     points: list = []
     if gf.q == 2:
         for row in rows:
             points += [row] + [p ^ row for p in points]
+        return points
+    if gf.q == 3:
+        span = [(0, 0)]  # span of the rows after row i
+        for i in range(len(rows) - 1, -1, -1):
+            b1, b2 = rows[i]
+            led = [_add3(a1, a2, b1, b2) for a1, a2 in span]
+            points += led
+            if i:
+                span += led + [(a2, a1) for a1, a2 in led]
         return points
     neg = [gf.neg(a) for a in gf.nonzero()]  # w - neg[a - 1]*row = w + a*row
     span = [(0,) * len(rows[0])] if rows else []  # span of the rows after row i
@@ -542,7 +602,7 @@ def _echelon_bases(r: int, k: int, gf: GF):
             row = [0] * r
             row[p] = 1
             options = []
-            for fill in product(gf.elements(), repeat=len(free)):
+            for fill in product(range(gf.q), repeat=len(free)):
                 for j, val in zip(free, fill):
                     row[j] = val
                 options.append(_point(gf, row))

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import json
 
-from .errors import NotPrimePowerError, SchemaError
+from .errors import NotPrimePowerError, SchemaError, SizeCapError
 from .gf import GF, is_prime
-from .matroid import BasesMatroid, LinearMatroid, Matroid, bits, materialize_bases
+from .matroid import BASES_VERIFY_CAP, BasesMatroid, LinearMatroid, Matroid, bits, materialize_bases
 
 _LINEAR_KEYS = {"kind", "field", "columns"}
 _FIELD_KEYS = {"p", "k", "modulus"}
@@ -135,13 +135,14 @@ def matroid_from_json(doc) -> Matroid:
     raise SchemaError("bad-value", f"unknown kind {kind!r}")
 
 
-def matroid_to_json(m: Matroid, max_bases: int = 200000) -> dict:
+def matroid_to_json(m: Matroid) -> dict:
     """Serialize a matroid.
 
     Linear matroids keep their column form exactly.  Everything else
     (views, bases backends) is flattened to an explicit bases list,
     which loses the construction history but preserves the rank
-    function on every subset.
+    function on every subset.  More than BASES_VERIFY_CAP bases raise
+    SizeCapError, since the loader could not verify the document.
     """
     if isinstance(m, LinearMatroid):
         return {
@@ -149,7 +150,10 @@ def matroid_to_json(m: Matroid, max_bases: int = 200000) -> dict:
             "field": m.field.to_json(),
             "columns": [list(c) for c in m.columns],
         }
-    bm = m if isinstance(m, BasesMatroid) else materialize_bases(m, max_bases=max_bases)
+    bm = m if isinstance(m, BasesMatroid) else materialize_bases(m)
+    if len(bm.bases) > BASES_VERIFY_CAP:
+        raise SizeCapError(
+            f"{len(bm.bases)} bases exceed the cap {BASES_VERIFY_CAP} that loading verifies")
     return {
         "kind": "bases",
         "rank": bm.full_rank,
@@ -168,9 +172,9 @@ def load_path(path: str) -> Matroid:
 
 
 def save_path(m: Matroid, path: str) -> None:
+    text = dumps(m) + "\n"  # a refused document leaves no file behind
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(m))
-        fh.write("\n")
+        fh.write(text)
 
 
 def io_roundtrip(m: Matroid, sample: int = 4096, seed: int = 0) -> bool:

@@ -24,6 +24,25 @@ def test_construct_and_eps(tmp_path, capsys):
     assert json.loads(out) == {"epsilon": 7, "n": 7, "rank": 3}
 
 
+def test_construct_refuses_a_document_eps_could_not_load(tmp_path, capsys):
+    path = tmp_path / "u.json"
+    code, out, err = run(capsys, "construct", "uniform", "r=7", "n=16", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("mforge: 11440 bases exceed the cap 5000")
+    assert not path.exists()
+
+
+def test_bases_document_round_trips_through_eps(tmp_path, capsys):
+    path = tmp_path / "u.json"
+    code, out, _ = run(capsys, "construct", "uniform", "r=3", "n=7", "--out", str(path))
+    assert code == 0
+    assert json.loads(path.read_text())["kind"] == "bases"
+    code, back, _ = run(capsys, "eps", str(path))
+    assert code == 0
+    assert json.loads(back) == {"epsilon": 7, "n": 7, "rank": 3}
+
+
 def test_density_exit_codes(tmp_path, capsys):
     fano = tmp_path / "fano.json"
     run(capsys, "construct", "pg", "n=3", "q=2", "--out", str(fano))

@@ -4,7 +4,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mforge import (
@@ -26,7 +26,15 @@ from mforge import (
     theta_graph,
     uniform,
 )
-from mforge.matroid import BASES_VERIFY_CAP, MinorView, push_pivot
+from mforge.matroid import (
+    BASES_VERIFY_CAP,
+    SUBSPACE_ENUM_CAP,
+    MinorView,
+    _gaussian_binomial,
+    _point,
+    push_pivot,
+    span_rank,
+)
 
 FANO = pg(3, 2).matroid
 U24 = uniform(2, 4).matroid
@@ -115,16 +123,18 @@ def _random_linear(rng, q, dim, n):
     return LinearMatroid(gf, cols)
 
 
-def _random_binary(rng, dim, n):
-    """Sparse GF(2) columns of rank below dim, with a loop and a parallel pair."""
+def _random_sparse(rng, q, dim, n):
+    """Sparse columns over a prime field GF(q), of rank below dim, with a
+    loop and a parallel pair: a nonzero column and its negation."""
     zero_row = rng.randrange(dim)
     cols = [
-        tuple(int(i != zero_row and rng.random() < 0.35) for i in range(dim))
+        tuple(rng.randrange(1, q) if i != zero_row and rng.random() < 0.35 else 0
+              for i in range(dim))
         for _ in range(n - 2)
     ]
-    cols += [(0,) * dim, cols[0]]
+    cols += [(0,) * dim, tuple((q - x) % q for x in max(cols))]  # max(cols) is nonzero
     rng.shuffle(cols)
-    return LinearMatroid(field_new(2), cols)
+    return LinearMatroid(field_new(q), cols)
 
 
 def _reference_rank(m, x):
@@ -134,12 +144,31 @@ def _reference_rank(m, x):
     return len(pivots)
 
 
+def _assert_ternary_keys(m):
+    # (ones, twos): disjoint planes below 2^full_rank, lowest nonzero entry 1
+    for col, p in zip(m.columns, m.points):
+        if not any(col):
+            assert p is None
+            continue
+        ones, twos = p
+        assert type(ones) is int and type(twos) is int
+        assert ones & twos == 0 and (ones | twos) >> m.full_rank == 0
+        nz = ones | twos
+        assert ones & nz & -nz
+
+
 def _check_point_table(m):
     # rank, point classes and flats read the one point table; each must
-    # match its definition through the generic methods
+    # match its definition through the generic methods, the subspace walk
+    # also where the flats of rank k come from the search
     assert m.point_classes() == Matroid.point_classes(m)
+    if m.field.q == 3:
+        _assert_ternary_keys(m)
     for k in range(m.full_rank + 1):
-        assert sorted(m._flats_impl(k)) == sorted(Matroid._flats_impl(m, k))
+        flats = sorted(Matroid._flats_impl(m, k))
+        assert sorted(m._flats_impl(k)) == flats
+        if _gaussian_binomial(m.full_rank, k, m.field.q) <= SUBSPACE_ENUM_CAP:
+            assert sorted(m._subspace_flats(k)) == flats
     if m.n > 10:
         return  # the subset sweeps are exponential in n
     for x in range(1 << m.n):
@@ -188,7 +217,7 @@ def test_packed_binary_kernel_differential(dim):
     # subspaces far outnumber its flats
     rng = random.Random(dim)
     for _ in range(3):
-        m = _random_binary(rng, dim, rng.randint(6, 9))
+        m = _random_sparse(rng, 2, dim, rng.randint(6, 9))
         assert all(type(p) is int and p >> m.full_rank == 0 for p in m.points)
         assert m.loops() and any(c & (c - 1) for c in m.point_classes())
         assert m.full_rank < dim
@@ -196,6 +225,37 @@ def test_packed_binary_kernel_differential(dim):
     theta = theta_graph(dim - 2).matroid
     assert theta.dim == dim
     _check_linear_kernel(theta)
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6, 7, 8])
+def test_ternary_kernel_differential(dim):
+    # two-plane GF(3) rank and point-lookup flats on sparse columns with a
+    # loop, a parallel pair and rank below dim, against push_pivot, the
+    # generic point classes and the generic flat search
+    rng = random.Random(300 + dim)
+    for _ in range(3):
+        m = _random_sparse(rng, 3, dim, rng.randint(6, 9))
+        assert m.loops() and any(c & (c - 1) for c in m.point_classes())
+        assert m.full_rank < dim
+        _check_linear_kernel(m)
+
+
+def test_ternary_span_rank_differential():
+    # span_rank on raw _point keys of dense random vectors, every limit,
+    # against push_pivot on the field-index lists
+    gf = field_new(3)
+    rng = random.Random(3)
+    for _ in range(400):
+        dim = rng.randint(1, 8)
+        vecs = [[rng.randrange(3) for _ in range(dim)] for _ in range(rng.randint(1, 10))]
+        vecs += [[(2 * x) % 3 for x in rng.choice(vecs)]]  # a negated copy
+        keys = [_point(gf, v) for v in vecs if any(v)]
+        pivots = []
+        for v in vecs:
+            push_pivot(gf, pivots, v)
+        assert span_rank(gf, keys, dim) == len(pivots)
+        for limit in range(1, len(pivots) + 1):
+            assert span_rank(gf, keys, limit) == limit
 
 
 @st.composite
@@ -220,6 +280,7 @@ def _linear_matroids(draw):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(_linear_matroids())
+@example(LinearMatroid(field_new(3), [(1, 2, 0), (0, 0, 0), (2, 1, 0), (1, 1, 0), (0, 2, 0)]))
 def test_point_table_property(m):
     _check_point_table(m)
 
@@ -237,24 +298,29 @@ def test_point_lookup_flats_dim4(q):
         _check_linear_kernel(_random_linear(rng, q, 4, rng.randint(5, 6)))
 
 
-def test_flat_fallbacks_are_logged(caplog):
-    # rank-2 subspaces of GF(37)^4 exceed SUBSPACE_ENUM_CAP, so the linear
-    # backend falls back to the generic search
-    rng = random.Random(37)
-    m = _random_linear(rng, 37, 4, 6)
+@pytest.mark.parametrize("q", [9, 37])
+def test_few_columns_over_large_field_choose_the_search(q, caplog, monkeypatch):
+    # 6 columns in GF(q)^4: the subspaces of rank >= 1 have far more points
+    # than the generic search visits sets, so it answers them; a chosen path
+    # logs no fallback
+    m = _random_linear(random.Random(q), q, 4, 6)
     assert m.full_rank == 4
+    expected = [sorted(Matroid._flats_impl(m, k)) for k in range(5)]
+    assert m.flats_of_rank(0) == expected[0]
+    monkeypatch.setattr("mforge.matroid._echelon_bases", _refuse)
     with caplog.at_level(logging.DEBUG, logger="mforge"):
-        flats = m.flats_of_rank(2)
-    assert flats == sorted(Matroid._flats_impl(m, 2))
-    assert [r.levelno for r in caplog.records] == [logging.DEBUG]
-    assert caplog.records[0].getMessage().startswith("LinearMatroid flats fall back")
+        for k in range(1, 5):
+            assert m.flats_of_rank(k) == expected[k]
+    assert caplog.records == []
 
-    # a minor of a linear matroid reads its flats off the parent's; past
-    # ENUM_CAP the parent refuses, and the minor searches its own ground set
+
+def test_flat_fallbacks_are_logged(caplog):
+    # a minor of a linear matroid reads its flats off the parent's; rank-2
+    # subspaces of GF(37)^4 exceed SUBSPACE_ENUM_CAP, and past ENUM_CAP the
+    # parent's generic search refuses, so the minor searches its own ground set
     big = _random_linear(random.Random(70), 37, 4, 70)
     assert big.full_rank == 4
     small = big.delete((1 << 64) - 1)
-    caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="mforge"):
         lines = small.flats_of_rank(2)
     assert lines == sorted(Matroid._flats_impl(small, 2))

@@ -5,6 +5,7 @@ import pytest
 from mforge import (
     LinearMatroid,
     SchemaError,
+    SizeCapError,
     field_new,
     free_swirl,
     io_roundtrip,
@@ -51,6 +52,16 @@ def test_views_serialize_as_bases():
 )
 def test_roundtrip_rank_agreement(m):
     assert io_roundtrip(m)
+
+
+def test_documents_past_the_verify_cap_are_refused():
+    # the loader checks basis exchange on at most 5000 bases, so the writer
+    # refuses more, for a bases backend and for a materialized view alike
+    with pytest.raises(SizeCapError, match="11440 bases exceed"):
+        matroid_to_json(uniform(7, 16).matroid)
+    plane = pg(3, 7).matroid.delete({0})  # 56 points of PG(2,7)
+    with pytest.raises(SizeCapError, match="24696 bases exceed"):
+        matroid_to_json(plane)
 
 
 def test_roundtrip_from_string():
