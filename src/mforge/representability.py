@@ -6,7 +6,9 @@ Two independent routes to the same facts:
   * closed-form predicates (is q composite, how does the rank compare to q),
   * exhaustive searches for the group-theoretic witnesses behind them
     (a multiset of k-1 group elements none of whose sub-multisets
-    aggregates to either of two chosen targets),
+    aggregates to either of two chosen targets), run as one depth-first
+    search over shared prefixes that cuts every prefix whose attained
+    aggregates already leave fewer than two targets free,
 
 plus a tiny backtracking linear-representability oracle for cross-checks.
 The verification suites assert the routes agree cell by cell.
@@ -19,7 +21,6 @@ values implicitly avoid it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .constructions import pg
 from .errors import SizeCapError
@@ -50,20 +51,19 @@ class SpikeWitness:
 
 
 def witness_is_valid(w: SpikeWitness) -> bool:
-    """Re-verify by enumerating every sub-multiset aggregate directly."""
+    """Re-verify by enumerating every sub-multiset aggregate directly.
+
+    Alphas must be group elements other than the unit and betas group
+    elements (additive: 0..q-1, multiplicative: 1..q-1); else False.
+    """
+    unit = {"additive": 0, "multiplicative": 1}.get(w.group)
+    if unit is None or prime_power(w.q) is None or w.beta1 == w.beta2:
+        return False
+    alphas, betas = range(unit + 1, w.q), range(unit, w.q)
+    if any(a not in alphas for a in w.alphas) or w.beta1 not in betas or w.beta2 not in betas:
+        return False
     gf = GF(w.q)
-    if w.beta1 == w.beta2:
-        return False
-    if w.group == "additive":
-        if any(a == 0 for a in w.alphas):
-            return False
-        agg, unit = gf.add, 0
-    elif w.group == "multiplicative":
-        if any(a in (0, 1) for a in w.alphas):
-            return False
-        agg, unit = gf.mul, 1
-    else:
-        return False
+    agg = gf.mul if unit else gf.add
     attained = [unit]
     for a in w.alphas:
         attained += [agg(a, x) for x in attained]
@@ -71,20 +71,41 @@ def witness_is_valid(w: SpikeWitness) -> bool:
 
 
 def _witness_search(k: int, q: int, values, agg, unit: int) -> SpikeWitness | None:
+    """First multiset of k-1 values (sorted, lexicographic order) leaving two
+    domain elements unattained.  The attained bitmask only grows along a
+    prefix, so a prefix leaving fewer than two free elements is cut."""
     if k < 3:
         raise ValueError("rank must be at least 3")
     if q > WITNESS_Q_CAP or k > WITNESS_K_CAP:
         raise SizeCapError(f"witness search capped at q <= {WITNESS_Q_CAP}, k <= {WITNESS_K_CAP}")
-    domain = list(range(q)) if unit == 0 else list(range(1, q))
-    for alphas in combinations_with_replacement(values, k - 1):
-        attain = {unit}
-        for a in alphas:
-            attain |= {agg(a, x) for x in attain}
-        if len(domain) - len(attain) >= 2:
-            b1, b2 = sorted(set(domain) - attain)[:2]
-            group = "additive" if unit == 0 else "multiplicative"
-            return SpikeWitness(group, q, alphas, b1, b2)
-    return None
+    domain = (1 << q) - (1 << unit)  # bits unit..q-1
+    image = [[1 << agg(a, x) for x in range(q)] for a in values]  # x -> bit of agg(a, x)
+    alphas: list[int] = []
+
+    def extend(start: int, attained: int) -> int | None:
+        if (domain & ~attained).bit_count() < 2:
+            return None
+        if len(alphas) == k - 1:
+            return attained
+        for i in range(start, len(values)):
+            row, grown, rest = image[i], attained, attained
+            while rest:
+                low = rest & -rest
+                grown |= row[low.bit_length() - 1]
+                rest ^= low
+            alphas.append(values[i])
+            found = extend(i, grown)
+            if found is not None:
+                return found
+            alphas.pop()
+        return None
+
+    attained = extend(0, 1 << unit)
+    if attained is None:
+        return None
+    b1, b2 = [x for x in range(q) if (domain & ~attained) >> x & 1][:2]
+    group = "additive" if unit == 0 else "multiplicative"
+    return SpikeWitness(group, q, tuple(alphas), b1, b2)
 
 
 def spike_witness_search(k: int, q: int) -> SpikeWitness | None:

@@ -552,7 +552,11 @@ def run_suite(suite: str, seed: int = 0, caps: CorpusCaps | None = None) -> Suit
     caps = caps or CorpusCaps()
     started = time.monotonic()
     results = []
-    for cid, thunk in SUITES[suite](seed, caps):
+    # popped one at a time, so a finished case's closure (corpus matroids,
+    # rank memos) is freed before the next case runs
+    cases = SUITES[suite](seed, caps)[::-1]
+    while cases:
+        cid, thunk = cases.pop()
         try:
             out = thunk()
         except Exception as exc:  # a crashed case is a failed case, not a crashed run

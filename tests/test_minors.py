@@ -12,6 +12,7 @@ from mforge import (
     are_isomorphic,
     dense_restriction,
     direct_sum,
+    field_new,
     free_spike,
     free_swirl,
     growth_hypothesis_holds,
@@ -27,6 +28,7 @@ from mforge import (
     uniform,
     weighted_density_exceeds,
 )
+from mforge import minors
 from mforge.matroid import bits, ksubset_masks
 from mforge.minors import _fingerprints
 
@@ -39,6 +41,7 @@ def naive_has_minor(m, n) -> bool:
     full = (1 << m.n) - 1
     tr = n.full_rank
     target_ranks = {x: n.rank(x) for x in range(1 << n.n)}
+    profile = sorted(target_ranks.values())
     for c in range(1 << m.n):
         rc = m.rank(c)
         if m.full_rank - rc < tr:
@@ -46,6 +49,11 @@ def naive_has_minor(m, n) -> bool:
         rest = [e for e in range(m.n) if not c >> e & 1]
         for keep in itertools.combinations(rest, n.n):
             if m.rank(c | mask_of(keep)) - rc != tr:
+                continue
+            # a bijection carries every subset rank across, so the sorted
+            # subset ranks must agree before any bijection is worth trying
+            if sorted(m.rank(c | mask_of(keep[i] for i in range(n.n) if x >> i & 1)) - rc
+                      for x in range(1 << n.n)) != profile:
                 continue
             for perm in itertools.permutations(range(n.n)):
                 if all(
@@ -86,6 +94,39 @@ def test_has_minor_line_shortcut_on_big_host():
     assert iso_is_valid(sub, uniform(2, 4).matroid, wit.iso.mapping)
     # no 14-point line minor exists in rank 4 over GF(3)
     assert has_minor(host, uniform(2, 14).matroid) is None
+
+
+def _loop_and_parallel_host():
+    gf3 = field_new(3)
+    cols = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (2, 2, 0), (1, 2, 0), (1, 0, 1)]
+    return LinearMatroid(gf3, cols)  # element 0 a loop, 4 and 5 parallel
+
+
+def _binary_11():
+    cols = pg(4, 2).matroid.columns
+    return LinearMatroid(field_new(2), [c for i, c in enumerate(cols) if i not in (0, 5, 9, 14)])
+
+
+@pytest.mark.parametrize(
+    "host,longest",
+    [
+        (pg(3, 3).matroid, 4),
+        (_binary_11(), 3),
+        (uniform(3, 6).matroid, 5),
+        (_loop_and_parallel_host(), 4),
+        (free_swirl(4).matroid, 6),  # a lazy view, not a LinearMatroid
+    ],
+)
+def test_has_minor_line_precheck(host, longest, monkeypatch):
+    assert longest_line_minor(host) == longest
+    wit = has_minor(host, uniform(2, longest).matroid)
+    assert wit is not None and naive_has_minor(host, uniform(2, longest).matroid)
+    assert has_minor(host, uniform(2, longest + 1).matroid) is None
+    assert not naive_has_minor(host, uniform(2, longest + 1).matroid)
+    # the pre-check never answers a positive: with it disabled (no line is
+    # longer than the ground set), the generic search finds the same witness
+    monkeypatch.setattr(minors, "longest_line_minor", lambda m: m.n)
+    assert has_minor(host, uniform(2, longest).matroid) == wit
 
 
 def test_are_isomorphic_negative_same_profile():

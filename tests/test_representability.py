@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import pytest
 
 from mforge import (
@@ -18,6 +20,7 @@ from mforge import (
     uniform,
     witness_is_valid,
 )
+from mforge.representability import _witness_search
 
 
 def test_prime_powers_upto():
@@ -92,6 +95,46 @@ def test_witness_is_valid_rejects_tampering():
     assert not witness_is_valid(forged)
     # beta1 = 0 is attainable as the empty subset sum, so it can never
     # serve as an avoided value in the additive case
+    # betas outside the group are not "unattained"; alphas outside it are
+    # refused rather than looked up
+    assert not witness_is_valid(SpikeWitness("multiplicative", 5, (2,) * 9, 0, 99))
+    assert not witness_is_valid(SpikeWitness("additive", 7, (1,) * 9, 50, 60))
+    assert not witness_is_valid(SpikeWitness("additive", 7, (9, 9, 9), 5, 6))
+
+
+def _exhaustive_witness(k, q, values, agg, unit):
+    """The plain search: every multiset, each attained set built from scratch."""
+    domain = list(range(q)) if unit == 0 else list(range(1, q))
+    for alphas in combinations_with_replacement(values, k - 1):
+        attain = {unit}
+        for a in alphas:
+            attain |= {agg(a, x) for x in attain}
+        if len(domain) - len(attain) >= 2:
+            b1, b2 = sorted(set(domain) - attain)[:2]
+            group = "additive" if unit == 0 else "multiplicative"
+            return SpikeWitness(group, q, alphas, b1, b2)
+    return None
+
+
+def test_witness_search_matches_exhaustive_search():
+    for q in prime_powers_upto(13):
+        gf = field_new(q)
+        for k in range(3, 11):
+            for search, values, agg, unit in (
+                (spike_witness_search, range(1, q), gf.add, 0),
+                (swirl_witness_search, range(2, q), gf.mul, 1),
+            ):
+                got = search(k, q)
+                assert got == _exhaustive_witness(k, q, values, agg, unit), (search, k, q)
+                assert got is None or witness_is_valid(got)
+    # On a group every reordering of a multiset attains the same set, so a
+    # search visiting orderings the canonical order skips cannot show there.
+    # On this table the ordering (2, 1) succeeds while (1, 2) fails: the
+    # canonical multiset is (2, 2).
+    table = [[0, 1, 2, 3], [1, 2, 2, 3], [0, 3, 2, 3], [2, 1, 2, 3]]
+    got = _witness_search(3, 4, range(1, 4), lambda a, x: table[a][x], 0)
+    assert got == _exhaustive_witness(3, 4, range(1, 4), lambda a, x: table[a][x], 0)
+    assert got.alphas == (2, 2)
 
 
 def test_oracle_equivalence_sample():

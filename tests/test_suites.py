@@ -1,4 +1,5 @@
 import threading
+import weakref
 
 import pytest
 
@@ -55,6 +56,21 @@ def test_cases_run_in_order_on_calling_thread(monkeypatch):
     rep = run_suite("field-axioms")
     assert calls == [(cid, threading.get_ident()) for cid in order]
     assert [c["case"] for c in rep.cases] == sorted(order)
+
+
+def test_finished_case_is_released(monkeypatch):
+    class Held:
+        pass
+
+    def build(seed, caps):
+        held = Held()
+        ref = weakref.ref(held)
+        return [("a[1]", lambda: {"pass": held is not None}),
+                ("b[1]", lambda: {"pass": ref() is None})]
+
+    monkeypatch.setitem(SUITES, "field-axioms", build)
+    rep = run_suite("field-axioms")
+    assert [c["pass"] for c in rep.cases] == [True, True]
 
 
 def test_caps_thread_through():
