@@ -5,143 +5,54 @@ constructions (projective and affine geometries, uniforms, spikes,
 swirls, parallel-connection chains), minor and isomorphism search with
 re-verifiable certificates, representability oracles, and a suite
 runner wired to the `mforge` command line tool.
+
+The public names load their submodule on first use (PEP 562), so a
+process pays only for the submodules it touches.
 """
 
-from .errors import (
-    LemmaViolationError,
-    MforgeError,
-    NotAnExtensionError,
-    NotPrimePowerError,
-    RepresentableInputError,
-    SchemaError,
-    SizeCapError,
-)
-from .gf import GF, field_new, is_prime, prime_power
-from .matroid import (
-    BasesMatroid,
-    LinearMatroid,
-    Matroid,
-    bits,
-    direct_sum,
-    ksubset_masks,
-    mask_of,
-    materialize_bases,
-    rank_axioms_hold,
-)
-from .constructions import (
-    NamedMatroid,
-    ag,
-    density_witness,
-    free_spike,
-    free_swirl,
-    parallel_connection,
-    pg,
-    principal_geometry_extension,
-    theta_graph,
-    two_sum,
-    two_sum_chain,
-    uniform,
-)
-from .minors import (
-    DenseRestrictionReport,
-    IsoCertificate,
-    LonglineStep,
-    MinorWitness,
-    are_isomorphic,
-    dense_restriction,
-    growth_hypothesis_holds,
-    has_minor,
-    iso_is_valid,
-    longest_line_minor,
-    longline_step,
-    unavoidable_minor_of_extension,
-    weighted_density_exceeds,
-)
-from .representability import (
-    BaseReport,
-    ClassSpec,
-    SpikeWitness,
-    brute_force_linear_rep,
-    eventual_base,
-    membership_flags,
-    prime_powers_upto,
-    spike_rep_predicate,
-    spike_witness_search,
-    swirl_rep_predicate,
-    swirl_witness_search,
-    witness_is_valid,
-)
-from .serialize import io_roundtrip, matroid_from_json, matroid_to_json
-from .corpus import CorpusCaps, corpus_generate, descriptor
-from .suites import SUITES, SuiteReport, run_suite
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GF",
-    "field_new",
-    "is_prime",
-    "prime_power",
-    "prime_powers_upto",
-    "Matroid",
-    "LinearMatroid",
-    "BasesMatroid",
-    "bits",
-    "mask_of",
-    "ksubset_masks",
-    "direct_sum",
-    "materialize_bases",
-    "rank_axioms_hold",
-    "NamedMatroid",
-    "pg",
-    "ag",
-    "uniform",
-    "theta_graph",
-    "free_spike",
-    "free_swirl",
-    "parallel_connection",
-    "two_sum",
-    "two_sum_chain",
-    "principal_geometry_extension",
-    "density_witness",
-    "IsoCertificate",
-    "MinorWitness",
-    "LonglineStep",
-    "DenseRestrictionReport",
-    "are_isomorphic",
-    "iso_is_valid",
-    "has_minor",
-    "longest_line_minor",
-    "longline_step",
-    "dense_restriction",
-    "growth_hypothesis_holds",
-    "weighted_density_exceeds",
-    "unavoidable_minor_of_extension",
-    "SpikeWitness",
-    "spike_rep_predicate",
-    "swirl_rep_predicate",
-    "spike_witness_search",
-    "swirl_witness_search",
-    "witness_is_valid",
-    "brute_force_linear_rep",
-    "membership_flags",
-    "ClassSpec",
-    "BaseReport",
-    "eventual_base",
-    "matroid_to_json",
-    "matroid_from_json",
-    "io_roundtrip",
-    "CorpusCaps",
-    "corpus_generate",
-    "descriptor",
-    "SUITES",
-    "SuiteReport",
-    "run_suite",
-    "MforgeError",
-    "NotPrimePowerError",
-    "SizeCapError",
-    "SchemaError",
-    "NotAnExtensionError",
-    "RepresentableInputError",
-    "LemmaViolationError",
-]
+# Each public name and the submodule that defines it.
+_SUBMODULE = {
+    name: module
+    for module, names in {
+        "gf": ("GF", "field_new", "is_prime", "prime_power"),
+        "matroid": ("Matroid", "LinearMatroid", "BasesMatroid", "bits", "mask_of",
+                    "ksubset_masks", "direct_sum", "materialize_bases", "rank_axioms_hold"),
+        "constructions": ("NamedMatroid", "pg", "ag", "uniform", "theta_graph", "free_spike",
+                          "free_swirl", "parallel_connection", "two_sum", "two_sum_chain",
+                          "principal_geometry_extension", "density_witness"),
+        "minors": ("IsoCertificate", "MinorWitness", "LonglineStep", "DenseRestrictionReport",
+                   "are_isomorphic", "iso_is_valid", "has_minor", "longest_line_minor",
+                   "longline_step", "dense_restriction", "growth_hypothesis_holds",
+                   "weighted_density_exceeds", "unavoidable_minor_of_extension"),
+        "representability": ("prime_powers_upto", "SpikeWitness", "spike_rep_predicate",
+                             "swirl_rep_predicate", "spike_witness_search",
+                             "swirl_witness_search", "witness_is_valid",
+                             "brute_force_linear_rep", "membership_flags", "ClassSpec",
+                             "BaseReport", "eventual_base"),
+        "serialize": ("matroid_to_json", "matroid_from_json", "io_roundtrip"),
+        "corpus": ("CorpusCaps", "corpus_generate", "descriptor"),
+        "suites": ("SUITES", "SuiteReport", "run_suite"),
+        "errors": ("MforgeError", "NotPrimePowerError", "SizeCapError", "SchemaError",
+                   "NotAnExtensionError", "RepresentableInputError", "LemmaViolationError"),
+    }.items()
+    for name in names
+}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    module = _SUBMODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

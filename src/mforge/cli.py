@@ -11,49 +11,30 @@ MFORGE_CAPS environment variable (same syntax, --caps wins).
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
-from dataclasses import replace
 
-from .constructions import (
-    ag,
-    density_witness,
-    free_spike,
-    free_swirl,
-    pg,
-    principal_geometry_extension,
-    theta_graph,
-    two_sum_chain,
-    uniform,
-)
-from .corpus import CorpusCaps
 from .errors import MforgeError, SchemaError
-from .minors import are_isomorphic, has_minor, iso_is_valid
-from .representability import (
-    ClassSpec,
-    eventual_base,
-    spike_rep_predicate,
-    spike_witness_search,
-    swirl_rep_predicate,
-    swirl_witness_search,
-)
-from .serialize import load_path, save_path
-from .suites import SUITES, run_suite
-from .matroid import bits
 
+# Kind -> constructor name in mforge.constructions, looked up on use.
 _CONSTRUCTORS = {
-    "pg": pg,
-    "ag": ag,
-    "uniform": uniform,
-    "theta": theta_graph,
-    "spike": free_spike,
-    "swirl": free_swirl,
-    "chain": two_sum_chain,
-    "pgext": principal_geometry_extension,
-    "witness": density_witness,
+    "pg": "pg",
+    "ag": "ag",
+    "uniform": "uniform",
+    "theta": "theta_graph",
+    "spike": "free_spike",
+    "swirl": "free_swirl",
+    "chain": "two_sum_chain",
+    "pgext": "principal_geometry_extension",
+    "witness": "density_witness",
 }
+
+
+def _constructor(kind: str):
+    from . import constructions
+
+    return getattr(constructions, _CONSTRUCTORS[kind])
 
 
 def _parse_params(tokens: list[str]) -> dict:
@@ -68,7 +49,9 @@ def _parse_params(tokens: list[str]) -> dict:
 
 def _check_params(kind: str, params: dict) -> None:
     """Reject parameters that do not fit the constructor's signature."""
-    sig = inspect.signature(_CONSTRUCTORS[kind], eval_str=True)
+    import inspect
+
+    sig = inspect.signature(_constructor(kind), eval_str=True)
     names = tuple(sig.parameters)
     extra = set(params) - set(names)
     if extra:
@@ -99,10 +82,16 @@ def _parse_caps(text: str | None) -> dict:
             out[key] = int(val)
         except ValueError:
             raise SchemaError("bad-value", f"cap {key!r} needs an integer, got {val!r}") from None
+        if out[key] < 1:
+            raise SchemaError("bad-value", f"cap {key!r} must be at least 1, got {out[key]}")
     return out
 
 
-def _caps_from(args) -> CorpusCaps:
+def _caps_from(args):
+    from dataclasses import replace
+
+    from .corpus import CorpusCaps
+
     caps = CorpusCaps()
     merged = _parse_caps(os.environ.get("MFORGE_CAPS"))
     merged.update(_parse_caps(getattr(args, "caps", None)))
@@ -119,11 +108,13 @@ def _emit(doc: dict, out: str | None) -> None:
 
 
 def _cmd_construct(args) -> int:
+    from .serialize import save_path
+
     if args.kind not in _CONSTRUCTORS:
         raise SchemaError("bad-value", f"unknown construction {args.kind!r}")
     params = _parse_params(args.params)
     _check_params(args.kind, params)
-    nm = _CONSTRUCTORS[args.kind](**params)
+    nm = _constructor(args.kind)(**params)
     m = nm.matroid
     if args.out:
         save_path(m, args.out)
@@ -138,6 +129,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_eps(args) -> int:
+    from .serialize import load_path
+
     m = load_path(args.matroid)
     print(
         json.dumps(
@@ -148,6 +141,8 @@ def _cmd_eps(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    from .serialize import load_path
+
     m = load_path(args.matroid)
     q = args.q
     dense = m.is_q_dense(q)  # validates q before the threshold divides by q - 1
@@ -163,6 +158,10 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_has_minor(args) -> int:
+    from .matroid import bits
+    from .minors import has_minor
+    from .serialize import load_path
+
     host = load_path(args.host)
     target = load_path(args.target)
     wit = has_minor(host, target)
@@ -180,6 +179,9 @@ def _cmd_has_minor(args) -> int:
 
 
 def _cmd_iso(args) -> int:
+    from .minors import are_isomorphic, iso_is_valid
+    from .serialize import load_path
+
     a = load_path(args.a)
     b = load_path(args.b)
     cert = are_isomorphic(a, b)
@@ -193,6 +195,13 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_rep(args) -> int:
+    from .representability import (
+        spike_rep_predicate,
+        spike_witness_search,
+        swirl_rep_predicate,
+        swirl_witness_search,
+    )
+
     if args.family == "spike":
         pred = spike_rep_predicate(args.k, args.q)
         wit = spike_witness_search(args.k, args.q)
@@ -217,6 +226,8 @@ def _parse_ranks(text: str | None) -> frozenset[int]:
 
 
 def _cmd_eventual_base(args) -> int:
+    from .representability import ClassSpec, eventual_base
+
     spec = ClassSpec(
         line_ell=args.ell,
         spike_ranks=_parse_ranks(args.spikes),
@@ -237,6 +248,8 @@ def _cmd_verify(args) -> int:
     caps = _caps_from(args)
     if args.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {args.jobs}")
+    from .suites import run_suite
+
     report = run_suite(args.suite, seed=args.seed, caps=caps)
     lines = [json.dumps(c, sort_keys=True) for c in report.cases]
     summary = {
@@ -257,6 +270,17 @@ def _cmd_verify(args) -> int:
     else:
         sys.stdout.write(text)
     return 0 if report.passed else 1
+
+
+class _VerifyHelp(argparse.HelpFormatter):
+    """Fills in the suite names only when the verify help is printed."""
+
+    def _get_help_string(self, action):
+        if "{suites}" not in action.help:
+            return action.help
+        from .suites import SUITES
+
+        return action.help.format(suites=", ".join(sorted(SUITES)))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -301,8 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_eventual_base)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}")
+    p = sub.add_parser("verify", help="run a verification suite", formatter_class=_VerifyHelp)
+    p.add_argument("suite", help="one of: {suites}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
                    help="echoed in the summary; cases always run in order")

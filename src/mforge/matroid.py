@@ -32,7 +32,6 @@ queries alone are permitted on ground sets up to GROUND_CAP elements.
 
 from __future__ import annotations
 
-import logging
 import math
 from itertools import combinations, product
 
@@ -44,6 +43,13 @@ ENUM_CAP = 64       # flats / cocircuit enumeration
 CIRCUIT_CAP = 20
 BASES_VERIFY_CAP = 5000
 SUBSPACE_ENUM_CAP = 150_000
+
+
+def _log_fallback(msg: str, *args) -> None:
+    """DEBUG record on the "mforge" logger; logging is imported by the first one."""
+    import logging
+
+    logging.getLogger("mforge").debug(msg, *args, stacklevel=2)
 
 
 def bits(mask: int) -> list[int]:
@@ -442,7 +448,7 @@ class LinearMatroid(Matroid):
         if self.n <= ENUM_CAP and walk > math.comb(self.n, k) * self.n:
             return super()._flats_impl(k)
         if count > SUBSPACE_ENUM_CAP:
-            logging.getLogger("mforge").debug(
+            _log_fallback(
                 "LinearMatroid flats fall back to the generic search: %d rank-%d subspaces "
                 "of GF(%d)^%d exceed %d", count, k, gf.q, r, SUBSPACE_ENUM_CAP)
             return super()._flats_impl(k)
@@ -713,8 +719,7 @@ class MinorView(Matroid):
         try:
             parent_flats = self.parent.flats_of_rank(pk)
         except SizeCapError as exc:
-            logging.getLogger("mforge").debug(
-                "MinorView flats fall back to the generic search: %s", exc)
+            _log_fallback("MinorView flats fall back to the generic search: %s", exc)
             return super()._flats_impl(k)
         pos = {e: i for i, e in enumerate(self.ground_map)}
         out = set()
@@ -790,7 +795,7 @@ class PrincipalExtensionView(Matroid):
                 else []
             )
         except SizeCapError as exc:
-            logging.getLogger("mforge").debug(
+            _log_fallback(
                 "PrincipalExtensionView flats fall back to the generic search: %s", exc)
             return super()._flats_impl(k)
         e_bit = 1 << self.parent.n

@@ -1,9 +1,15 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mforge
 from mforge.cli import main
+from mforge.suites import SUITES
 
 
 def run(capsys, *argv):
@@ -167,6 +173,18 @@ def test_caps_flag_validation(capsys):
     assert run(capsys, "verify", "kung", "--caps", "max_ground=x")[0] == 2
 
 
+@pytest.mark.parametrize("caps", ["max_ground=-1", "max_rank=0"])
+def test_caps_below_one_rejected(caps, capsys, monkeypatch):
+    # a cap below 1 would empty the corpus and pass vacuously
+    code, out, err = run(capsys, "verify", "kung", "--caps", caps)
+    assert code == 2
+    assert out == "" and err.startswith("mforge: bad-value: ") and "at least 1" in err
+    monkeypatch.setenv("MFORGE_CAPS", caps)
+    code, out, err = run(capsys, "verify", "kung")
+    assert code == 2
+    assert out == "" and err.startswith("mforge: bad-value: ") and "at least 1" in err
+
+
 def test_caps_rejects_removed_max_bases(capsys):
     code, out, err = run(capsys, "verify", "kung", "--caps", "max_bases=10")
     assert code == 2
@@ -218,3 +236,45 @@ def test_internal_error_exits_two(capsys):
     assert out == ""
     assert err.startswith("mforge: internal: RecursionError: ")
     assert len(err.splitlines()) == 1
+
+
+def _loaded_after(*argv) -> set[str]:
+    """Modules a fresh process holds after running `mforge ARGV`."""
+    probe = (
+        "import json, sys\n"
+        "from mforge.cli import main\n"
+        "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    src = str(Path(mforge.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", probe, *map(str, argv)], env=env,
+                          capture_output=True, text=True, check=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_help_loads_only_the_cli():
+    loaded = _loaded_after("--help")
+    assert {m for m in loaded if m.split(".")[0] == "mforge"} == {
+        "mforge", "mforge.cli", "mforge.errors"}
+
+
+def test_iso_and_has_minor_load_only_what_they_use(tmp_path, capsys):
+    fano = tmp_path / "fano.json"
+    u23 = tmp_path / "u23.json"
+    run(capsys, "construct", "pg", "n=3", "q=2", "--out", str(fano))
+    run(capsys, "construct", "uniform", "r=2", "n=3", "--out", str(u23))
+    unused = {"mforge.suites", "mforge.corpus", "mforge.representability",
+              "mforge.constructions", "logging"}
+    for argv in (("iso", fano, fano), ("has-minor", fano, u23)):
+        loaded = _loaded_after(*argv)
+        assert "mforge.minors" in loaded
+        assert not loaded & unused, argv
+
+
+def test_verify_help_lists_every_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    text = "".join(capsys.readouterr().out.split())
+    assert "oneof:" + ",".join(sorted(SUITES)) in text

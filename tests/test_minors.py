@@ -341,3 +341,22 @@ def test_unavoidable_minor_error_taxonomy():
     par = geom.principal_extension(point)  # parallel copy, not a new point
     with pytest.raises(RepresentableInputError):
         unavoidable_minor_of_extension(par, 2, 2)
+
+
+def test_line_precheck_runs_before_the_size_cap(monkeypatch):
+    # PG(4,2) has 31 > MINOR_CAP elements; its longest line minor has 3 points
+    host = pg(5, 2).matroid
+    assert host.n == 31 and host.n > minors.MINOR_CAP
+    witness = has_minor(host, uniform(2, 3).matroid)
+    assert witness == minors.MinorWitness(
+        contract=mask_of([0, 1, 3]),
+        delete=mask_of([2, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 16, 17, 18, 19, 20, 21, 22,
+                        24, 25, 26, 27, 28, 29, 30]),
+        iso=minors.IsoCertificate((0, 1, 2)),
+    )
+
+    def _refuse(m, size):
+        raise AssertionError("the line pre-check should refuse U(2,4) first")
+
+    monkeypatch.setattr(minors, "_line_minor_witness", _refuse)
+    assert has_minor(host, uniform(2, 4).matroid) is None
