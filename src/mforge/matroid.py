@@ -15,6 +15,26 @@ through a memoized rank oracle; concrete backends are
 and lazy views (minor, dual, truncation, principal extension, direct sum,
 parallel connection) that compute rank through their parent's oracle.
 
+Closure is a backend kernel like rank: Matroid.closure validates and
+memoizes, then calls _closure_mask, whose base version tests each element
+with a rank query.  A LinearMatroid over GF(2) or GF(3) answers with one
+elimination of X's points instead (the pivots span_rank leaves), and the
+views compose their parent's closures exactly (a minor only over such a
+LinearMatroid, as the parent's rank scan would also visit the deleted
+elements), with p the new element of a principal extension on the flat F
+and X' = X - p:
+
+  minor M/C\\D           cl(X) = cl_M(X + C) - C - D
+  truncation to rank t  cl(X) = cl_M(X) if r(X) < t, else the ground set
+  principal extension   cl(X) = cl_M(X') + p if F lies in cl_M(X');
+                        else cl_M(X') if p is not in X;
+                        else cl_M(X' + F) + p if r(X' + F) = r(X') + 1;
+                        else cl_M(X') + p
+
+loops() is cl(empty set); point_classes takes the class of each element e
+not yet placed as cl(e) minus the loops when that kernel answers, and asks
+r(e + f) for the later elements otherwise, which takes fewer rank queries.
+
 Flats of a minor come from its parent's flats only when a LinearMatroid
 answers those: the parent is a LinearMatroid, or a minor, principal
 extension or truncation whose own parent qualifies (the _linear_flats flag
@@ -94,17 +114,21 @@ def ksubset_masks(n: int, k: int):
 
 
 class Matroid:
-    """Abstract rank oracle. Subclasses implement _rank_mask."""
+    """Abstract rank oracle. Subclasses implement _rank_mask, and may
+    implement _closure_mask."""
 
     n: int
     # whether flats_of_rank is answered by LinearMatroid's subspace lookup
     _linear_flats = False
+    # whether closure is answered by LinearMatroid's elimination kernel
+    _closure_kernel = False
 
     def __init__(self, n: int):
         if n < 0 or n > GROUND_CAP:
             raise SizeCapError(f"ground size {n} outside [0, {GROUND_CAP}]")
         self.n = n
         self._memo: dict[int, int] = {}
+        self._closures: dict[int, int] = {}
         self._full_rank: int | None = None
 
     # -- rank ----------------------------------------------------------------
@@ -146,7 +170,20 @@ class Matroid:
     # -- closure and flats -----------------------------------------------------
 
     def closure(self, X) -> int:
+        if type(X) is int:
+            # memoized like rank: only validated masks are ever stored
+            c = self._closures.get(X)
+            if c is not None:
+                return c
         mask = self.as_mask(X)
+        c = self._closures.get(mask)
+        if c is None:
+            c = self._closure_mask(mask)
+            self._closures[mask] = c
+        return c
+
+    def _closure_mask(self, mask: int) -> int:
+        """cl(X) by definition: X and every e with r(X + e) = r(X)."""
         r = self.rank(mask)
         out = mask
         for e in range(self.n):
@@ -160,11 +197,7 @@ class Matroid:
         return self.closure(mask) == mask
 
     def loops(self) -> int:
-        m = 0
-        for e in range(self.n):
-            if self.rank(1 << e) == 0:
-                m |= 1 << e
-        return m
+        return self.closure(0)
 
     def _greedy_basis(self, flat_mask: int) -> int:
         basis = 0
@@ -242,7 +275,13 @@ class Matroid:
     # -- points and density -------------------------------------------------------
 
     def point_classes(self) -> list[int]:
-        """Rank-1 flats restricted to non-loops: the parallel classes."""
+        """Rank-1 flats restricted to non-loops: the parallel classes.
+
+        Each class is led by the lowest element e not yet placed, so it is
+        cl(e) minus the loops when the closure kernel answers that, and
+        otherwise e plus each later unplaced f with r(e + f) = 1, which asks
+        fewer rank queries than the rank-scan closure.
+        """
         loops = self.loops()
         classes = []
         seen = loops
@@ -250,11 +289,14 @@ class Matroid:
             b = 1 << e
             if seen & b:
                 continue
-            cls = b
-            for f in range(e + 1, self.n):
-                fb = 1 << f
-                if not seen & fb and self.rank(b | fb) == 1:
-                    cls |= fb
+            if self._closure_kernel:
+                cls = self.closure(b) & ~loops
+            else:
+                cls = b
+                for f in range(e + 1, self.n):
+                    fb = 1 << f
+                    if not seen & fb and self.rank(b | fb) == 1:
+                        cls |= fb
             classes.append(cls)
             seen |= cls
         return classes
@@ -401,6 +443,8 @@ class LinearMatroid(Matroid):
         rows = [row for row, _ in pivots]
         self.points = tuple(_point(field, [c[i] for i in rows]) for c in cols)
         self._full_rank = len(pivots)
+        self._closure_kernel = field.q <= 3
+        self._singletons = tuple(1 << e for e in range(self.n))
         self._on_point: dict = {}  # point -> mask of its columns, by lowest column
         self._loops = 0
         for e, p in enumerate(self.points):
@@ -412,6 +456,50 @@ class LinearMatroid(Matroid):
     def _rank_mask(self, mask: int) -> int:
         points = map(self.points.__getitem__, _iter_bits(mask & ~self._loops))
         return span_rank(self.field, points, self._full_rank)
+
+    def _closure_mask(self, mask: int) -> int:
+        """cl(X) by one elimination over GF(2) and GF(3).
+
+        span_rank leaves r echelon pivots of X's points.  The closure is X,
+        the loops and the columns on the points of their span: looked up
+        from the span's (q^r - 1)/(q - 1) points when that is no more than
+        the r pivot steps per point of reducing every point of the matroid
+        against the pivots, and otherwise found by that reduction, which
+        keeps high-rank spans of few points polynomial.  Over larger fields
+        the rank scan stays faster.
+        """
+        if not self._closure_kernel:
+            return Matroid._closure_mask(self, mask)
+        gf = self.field
+        pivots: list = []
+        points = map(self.points.__getitem__, _iter_bits(mask & ~self._loops))
+        r = span_rank(gf, points, self._full_rank, pivots)
+        if r == self._full_rank:
+            return (1 << self.n) - 1
+        out = mask | self._loops
+        on_point = self._on_point
+        if (gf.q**r - 1) // (gf.q - 1) <= len(on_point) * r:
+            # ascending lowest bits make every point of the span a key
+            pivots.sort()
+            rows = [pv[1] for pv in pivots] if gf.q == 2 else [pv[1:] for pv in pivots]
+            for p in _subspace_points(gf, rows):
+                out |= on_point.get(p, 0)
+        else:
+            for p, members in on_point.items():
+                if span_rank(gf, (p,), r + 1, pivots) == r:
+                    out |= members
+                else:
+                    pivots.pop()
+        # r(X + e) is r inside the closure and r + 1 outside.  Storing them
+        # leaves the rank memo as the rank scan left it, so later queries of
+        # X + e (are_isomorphic's prefix checks) stay memo hits.
+        memo = self._memo
+        memo[mask] = r
+        r1 = r + 1
+        for b in self._singletons:
+            if not mask & b:
+                memo[mask | b] = r if out & b else r1
+        return out
 
     def point_classes(self) -> list[int]:
         return list(self._on_point.values())
@@ -504,19 +592,22 @@ def _add3(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
     return a2 ^ ((a1 ^ (a2 | b1)) & ~b2), a1 ^ ((a2 ^ (a1 | b2)) & ~b1)
 
 
-def span_rank(gf: GF, vectors, limit: int) -> int:
+def span_rank(gf: GF, vectors, limit: int, pivots: list | None = None) -> int:
     """Rank of the vectors, stopping once it reaches limit.
 
-    Over GF(2) and GF(3) the vectors are _point keys, and each is reduced
-    against (lowest bit, row) pivots in list order, the pivot rule of
-    reduce_vector: over GF(2) by XOR; over GF(3), where a pivot is stored
-    with 1 at its lowest bit, by adding (_add3) the negated pivot, its
-    planes swapped, when the vector holds 1 there and the pivot when it
-    holds 2.  Otherwise the vectors are sequences of field indices, reduced
-    by push_pivot.
+    Each vector is reduced against the pivots in list order, the pivot rule
+    of reduce_vector, and a nonzero residue is appended as a new pivot.
+    Given pivots, the reduction starts from them and they receive the new
+    ones, so the result counts them too.  Over GF(2) and GF(3) the vectors
+    are _point keys and pivots are (lowest bit, row): over GF(2) a vector
+    is reduced by XOR; over GF(3), where a pivot is stored with 1 at its
+    lowest bit, by adding (_add3) the negated pivot, its planes swapped,
+    when the vector holds 1 there and the pivot when it holds 2.  Otherwise
+    the vectors are sequences of field indices, reduced by push_pivot.
     """
+    if pivots is None:
+        pivots = []
     if gf.q == 2:
-        pivots: list[tuple[int, int]] = []
         for v in vectors:
             for low, row in pivots:
                 if v & low:
@@ -527,9 +618,8 @@ def span_rank(gf: GF, vectors, limit: int) -> int:
                     break
         return len(pivots)
     if gf.q == 3:
-        planes: list[tuple[int, int, int]] = []
         for o, t in vectors:
-            for low, p1, p2 in planes:
+            for low, p1, p2 in pivots:
                 if o & low:
                     o, t = _add3(o, t, p2, p1)
                 elif t & low:
@@ -539,25 +629,26 @@ def span_rank(gf: GF, vectors, limit: int) -> int:
                 low = nz & -nz
                 if t & low:
                     o, t = t, o
-                planes.append((low, o, t))
-                if len(planes) == limit:
+                pivots.append((low, o, t))
+                if len(pivots) == limit:
                     break
-        return len(planes)
-    rows: list[tuple[int, list[int]]] = []
+        return len(pivots)
     for v in vectors:
-        if push_pivot(gf, rows, v) and len(rows) == limit:
+        if push_pivot(gf, pivots, v) and len(pivots) == limit:
             break
-    return len(rows)
+    return len(pivots)
 
 
 def _subspace_points(gf: GF, rows) -> list:
-    """The (q^k - 1)/(q - 1) projective points of the span of RREF rows.
+    """The (q^k - 1)/(q - 1) projective points of the span of echelon rows.
 
-    Rows and points are _point keys.  Over GF(2) each point is one XOR away
-    from a point listed before it.  Otherwise a point is the combination
-    whose first nonzero coefficient is 1; the RREF pivots make that
-    combination already normalized.  Over GF(3) the span grows by those
-    points and their negations, which are plane swaps.
+    Rows and points are _point keys; each row's lowest nonzero entry is 1,
+    at a position below the lowest nonzero entry of every later row (RREF
+    rows, or span_rank's pivots sorted by lowest bit).  Over GF(2) each
+    point is one XOR away from a point listed before it.  Otherwise a point
+    is the combination whose first nonzero coefficient is 1; the echelon
+    form makes that combination already normalized.  Over GF(3) the span
+    grows by those points and their negations, which are plane swaps.
     """
     points: list = []
     if gf.q == 2:
@@ -691,12 +782,14 @@ class MinorView(Matroid):
     def __init__(self, parent: Matroid, contract_mask: int, delete_mask: int):
         self.parent = parent
         self._linear_flats = parent._linear_flats
+        self._closure_kernel = parent._closure_kernel
         self.contract_mask = contract_mask
         self.delete_mask = delete_mask
         gone = contract_mask | delete_mask
         self.ground_map = tuple(e for e in range(parent.n) if not gone & (1 << e))
         super().__init__(len(self.ground_map))
         self._lift = tuple(1 << e for e in self.ground_map)
+        self._kept = ((1 << parent.n) - 1) ^ gone
         self._rc = parent.rank(contract_mask)
 
     def lift_mask(self, mask: int) -> int:
@@ -705,8 +798,26 @@ class MinorView(Matroid):
             out |= self._lift[i]
         return out
 
+    def _drop_mask(self, pmask: int) -> int:
+        """The view's mask of the kept parent elements in pmask."""
+        kept = self._kept
+        out = 0
+        for e in bits(pmask & kept):
+            out |= 1 << (kept & ((1 << e) - 1)).bit_count()
+        return out
+
     def _rank_mask(self, mask: int) -> int:
         return self.parent.rank(self.lift_mask(mask) | self.contract_mask) - self._rc
+
+    def _closure_mask(self, mask: int) -> int:
+        """cl_{M/C\\D}(X) = cl_M(X + C) - C - D.
+
+        Without the kernel the parent's rank scan would also visit D, so
+        the view scans its own ground set.
+        """
+        if not self._closure_kernel:
+            return Matroid._closure_mask(self, mask)
+        return self._drop_mask(self.parent.closure(self.lift_mask(mask) | self.contract_mask))
 
     def _flats_impl(self, k: int) -> list[int]:
         if not self._linear_flats:
@@ -721,14 +832,9 @@ class MinorView(Matroid):
         except SizeCapError as exc:
             _log_fallback("MinorView flats fall back to the generic search: %s", exc)
             return super()._flats_impl(k)
-        pos = {e: i for i, e in enumerate(self.ground_map)}
         out = set()
         for f in parent_flats:
-            m = 0
-            for e in bits(f):
-                i = pos.get(e)
-                if i is not None:
-                    m |= 1 << i
+            m = self._drop_mask(f)
             if m not in out and self.rank(m) == k and self.closure(m) == m:
                 out.add(m)
         return list(out)
@@ -749,11 +855,18 @@ class TruncationView(Matroid):
     def __init__(self, parent: Matroid, t: int):
         self.parent = parent
         self._linear_flats = parent._linear_flats
+        self._closure_kernel = parent._closure_kernel
         self.t = t
         super().__init__(parent.n)
 
     def _rank_mask(self, mask: int) -> int:
         return min(self.parent.rank(mask), self.t)
+
+    def _closure_mask(self, mask: int) -> int:
+        """The parent's cl(X) below rank t; at rank t, X spans everything."""
+        if self.parent.rank(mask) < self.t:
+            return self.parent.closure(mask)
+        return (1 << self.n) - 1
 
     def point_classes(self) -> list[int]:
         if self.t >= 2:
@@ -776,6 +889,7 @@ class PrincipalExtensionView(Matroid):
             raise ValueError("principal extension requires a flat")
         self.parent = parent
         self._linear_flats = parent._linear_flats
+        self._closure_kernel = parent._closure_kernel
         self.fmask = fmask
         super().__init__(parent.n + 1)
 
@@ -785,6 +899,23 @@ class PrincipalExtensionView(Matroid):
             return self.parent.rank(mask)
         rest = mask ^ e_bit
         return min(self.parent.rank(rest) + 1, self.parent.rank(rest | self.fmask))
+
+    def _closure_mask(self, mask: int) -> int:
+        """cl(X) from the parent's closures, with p the new element on F and
+        X' = X - p: cl(X') + p if F lies in cl(X'); else cl(X') if p is not
+        in X; else cl(X' + F) + p if r(X' + F) = r(X') + 1; else cl(X') + p.
+        """
+        parent = self.parent
+        e_bit = 1 << parent.n
+        rest = mask & ~e_bit
+        cl = parent.closure(rest)
+        if not self.fmask & ~cl:
+            return cl | e_bit
+        if not mask & e_bit:
+            return cl
+        if parent.rank(rest | self.fmask) == parent.rank(rest) + 1:
+            return parent.closure(rest | self.fmask) | e_bit
+        return cl | e_bit
 
     def _flats_impl(self, k: int) -> list[int]:
         try:

@@ -213,6 +213,7 @@ def _suite_kung(seed: int, caps: CorpusCaps) -> list:
 
 def _check_longline_all_elements(m, q: int) -> dict:
     kinds = {"dense-contraction": 0, "line-restriction": 0}
+    classes = m.point_classes()
     for e in range(m.n):
         if m.rank(1 << e) == 0:
             continue
@@ -226,7 +227,7 @@ def _check_longline_all_elements(m, q: int) -> dict:
             line = step.line
             if not line >> e & 1:
                 return _fail(f"witness line at element {e} misses the element")
-            pts = sum(1 for c in m.point_classes() if c & line)
+            pts = sum(1 for c in classes if c & line)
             if pts < q + 2:
                 return _fail(f"witness line at element {e} has only {pts} points")
         kinds[step.kind] += 1

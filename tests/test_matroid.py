@@ -13,6 +13,7 @@ from mforge import (
     Matroid,
     SizeCapError,
     bits,
+    density_witness,
     direct_sum,
     field_new,
     free_spike,
@@ -259,9 +260,9 @@ def test_ternary_span_rank_differential():
 
 
 @st.composite
-def _linear_matroids(draw):
-    """GF(2..9) columns, n <= 8, with loops, parallel pairs and rank < dim."""
-    gf = field_new(draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9])))
+def _linear_matroids(draw, fields=(2, 3, 4, 5, 7, 8, 9)):
+    """GF(q) columns, n <= 8, with loops, parallel pairs and rank < dim."""
+    gf = field_new(draw(st.sampled_from(fields)))
     dim = draw(st.integers(1, 4))
     zero_row = draw(st.none() | st.integers(0, dim - 1))
     entry = st.integers(0, gf.q - 1)
@@ -278,11 +279,98 @@ def _linear_matroids(draw):
     return LinearMatroid(gf, cols)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(_linear_matroids())
 @example(LinearMatroid(field_new(3), [(1, 2, 0), (0, 0, 0), (2, 1, 0), (1, 1, 0), (0, 2, 0)]))
 def test_point_table_property(m):
     _check_point_table(m)
+
+
+@st.composite
+def _view_stacks(draw):
+    """Two separately built copies of one matroid: a LinearMatroid over
+    GF(2), GF(3) or GF(5) under up to three minor, truncation or principal
+    extension views (on a random flat)."""
+    base = draw(_linear_matroids(fields=(2, 3, 5)))
+    steps = []
+    m = base
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["minor", "truncation", "extension"]))
+        if kind == "minor":
+            roles = draw(st.lists(st.sampled_from("kcd"), min_size=m.n, max_size=m.n))
+            contract = mask_of(e for e, role in enumerate(roles) if role == "c")
+            delete = mask_of(e for e, role in enumerate(roles) if role == "d")
+            steps.append(lambda v, c=contract, d=delete: v.minor(c, d))
+        elif kind == "truncation" and m.full_rank >= 2:
+            t = draw(st.integers(1, m.full_rank - 1))
+            steps.append(lambda v, t=t: v.truncate(t))
+        elif kind == "extension":
+            flat = Matroid._closure_mask(m, draw(st.integers(0, (1 << m.n) - 1)))
+            steps.append(lambda v, f=flat: v.principal_extension(f))
+        else:
+            continue
+        m = steps[-1](m)
+    ref = LinearMatroid(base.field, base.columns)
+    for step in steps:
+        ref = step(ref)
+    return m, ref
+
+
+def _forget(m):
+    """Clear every rank and closure memo down the view stack."""
+    while m is not None:
+        m._memo.clear()
+        m._closures.clear()
+        m = getattr(m, "parent", None)
+
+
+def _pair_scan_classes(m):
+    seen = mask_of(e for e in range(m.n) if m.rank(1 << e) == 0)
+    classes = []
+    for e in range(m.n):
+        if not seen >> e & 1:
+            cls = (1 << e) | mask_of(
+                f for f in range(e + 1, m.n)
+                if not seen >> f & 1 and m.rank((1 << e) | (1 << f)) == 1)
+            classes.append(cls)
+            seen |= cls
+    return classes
+
+
+def _twins(q, columns):
+    return LinearMatroid(field_new(q), columns), LinearMatroid(field_new(q), columns)
+
+
+@settings(max_examples=120)
+@given(_view_stacks())
+# density_witness's Llambda: a minor of a minor of a principal extension
+@example(tuple(density_witness(2, "Llambda", 2).matroid for _ in range(2)))
+# a span looked up from pivots found in descending order of lowest bit
+@example(_twins(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1), (1, 0, 2)]))
+# a span too large to look up (63 points against 8 points of rank 6), with a
+# point outside it listed before one inside it
+@example(_twins(2, [tuple(int(i == j) for i in range(7)) for j in range(7)]
+                + [(1, 1, 0, 0, 0, 0, 0)]))
+def test_closure_kernel_differential(pair):
+    # closure, loops and point classes through the kernel and the views
+    # against their definitions (the rank scan, r(e) = 0 and the pair scan)
+    # on a second copy whose memos are cleared, so that no closure answer
+    # reaches the reference ranks; the ranks left behind must still be right
+    m, ref = pair
+    _forget(ref)
+    assert m.loops() == mask_of(e for e in range(m.n) if ref.rank(1 << e) == 0)
+    assert m.point_classes() == _pair_scan_classes(ref)
+    for x in range(1 << m.n):
+        assert m.closure(x) == Matroid._closure_mask(ref, x)
+    for x in range(1 << m.n):
+        assert m.rank(x) == ref.rank(x)
+    root = m
+    while hasattr(root, "parent"):
+        root = root.parent
+    assert all(r == _reference_rank(root, x) for x, r in root._memo.items())
+    for bad in (-1, 1 << m.n):
+        with pytest.raises(ValueError):
+            m.closure(bad)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
