@@ -17,23 +17,28 @@ parallel connection) that compute rank through their parent's oracle.
 
 Closure is a backend kernel like rank: Matroid.closure validates and
 memoizes, then calls _closure_mask, whose base version tests each element
-with a rank query.  A LinearMatroid over GF(2) or GF(3) answers with one
-elimination of X's points instead (the pivots span_rank leaves), and the
-views compose their parent's closures exactly (a minor only over such a
-LinearMatroid, as the parent's rank scan would also visit the deleted
-elements), with p the new element of a principal extension on the flat F
-and X' = X - p:
+with a rank query; a dual keeps that definition, and so does a LinearMatroid
+over a field of more than 3 elements.  Over GF(2) or GF(3) one elimination
+of X's points answers instead (the pivots span_rank leaves), and the other
+backends and views are exact too, with Xi the trace of X on side i, p the
+basepoint of a parallel connection or the new element of a principal
+extension on the flat F, and X' = X - p:
 
+  bases                 cl(X) = E minus the union of B - X over the
+                        bases B with |B & X| = r(X)
   minor M/C\\D           cl(X) = cl_M(X + C) - C - D
   truncation to rank t  cl(X) = cl_M(X) if r(X) < t, else the ground set
   principal extension   cl(X) = cl_M(X') + p if F lies in cl_M(X');
                         else cl_M(X') if p is not in X;
                         else cl_M(X' + F) + p if r(X' + F) = r(X') + 1;
                         else cl_M(X') + p
+  direct sum            cl(X) = cl_1(X1) + cl_2(X2)
+  parallel connection   cl(X) = cl_1(X1) + cl_2(X2) if neither holds p,
+                        else cl_1(X1 + p) + cl_2(X2 + p), as a set is a
+                        flat when both its traces are
 
-loops() is cl(empty set); point_classes takes the class of each element e
-not yet placed as cl(e) minus the loops when that kernel answers, and asks
-r(e + f) for the later elements otherwise, which takes fewer rank queries.
+loops() is cl(empty set), and point_classes takes the class of each element
+e not yet placed as cl(e) minus the loops.
 
 Flats of a minor come from its parent's flats only when a LinearMatroid
 answers those: the parent is a LinearMatroid, or a minor, principal
@@ -120,8 +125,6 @@ class Matroid:
     n: int
     # whether flats_of_rank is answered by LinearMatroid's subspace lookup
     _linear_flats = False
-    # whether closure is answered by LinearMatroid's elimination kernel
-    _closure_kernel = False
 
     def __init__(self, n: int):
         if n < 0 or n > GROUND_CAP:
@@ -277,10 +280,8 @@ class Matroid:
     def point_classes(self) -> list[int]:
         """Rank-1 flats restricted to non-loops: the parallel classes.
 
-        Each class is led by the lowest element e not yet placed, so it is
-        cl(e) minus the loops when the closure kernel answers that, and
-        otherwise e plus each later unplaced f with r(e + f) = 1, which asks
-        fewer rank queries than the rank-scan closure.
+        Each class is cl(e) minus the loops, e the lowest element not yet
+        placed.
         """
         loops = self.loops()
         classes = []
@@ -289,14 +290,7 @@ class Matroid:
             b = 1 << e
             if seen & b:
                 continue
-            if self._closure_kernel:
-                cls = self.closure(b) & ~loops
-            else:
-                cls = b
-                for f in range(e + 1, self.n):
-                    fb = 1 << f
-                    if not seen & fb and self.rank(b | fb) == 1:
-                        cls |= fb
+            cls = self.closure(b) & ~loops
             classes.append(cls)
             seen |= cls
         return classes
@@ -443,7 +437,6 @@ class LinearMatroid(Matroid):
         rows = [row for row, _ in pivots]
         self.points = tuple(_point(field, [c[i] for i in rows]) for c in cols)
         self._full_rank = len(pivots)
-        self._closure_kernel = field.q <= 3
         self._singletons = tuple(1 << e for e in range(self.n))
         self._on_point: dict = {}  # point -> mask of its columns, by lowest column
         self._loops = 0
@@ -468,9 +461,9 @@ class LinearMatroid(Matroid):
         keeps high-rank spans of few points polynomial.  Over larger fields
         the rank scan stays faster.
         """
-        if not self._closure_kernel:
-            return Matroid._closure_mask(self, mask)
         gf = self.field
+        if gf.q > 3:
+            return super()._closure_mask(mask)
         pivots: list = []
         points = map(self.points.__getitem__, _iter_bits(mask & ~self._loops))
         r = span_rank(gf, points, self._full_rank, pivots)
@@ -766,6 +759,16 @@ class BasesMatroid(Matroid):
                     break
         return best
 
+    def _closure_mask(self, mask: int) -> int:
+        """E minus B - X over the bases B with |B & X| = r(X): e outside X
+        is outside cl(X) exactly when such a basis holds it."""
+        r = self.rank(mask)
+        reach = 0
+        for b in self.bases:
+            if (b & mask).bit_count() == r:
+                reach |= b
+        return ((1 << self.n) - 1) ^ (reach & ~mask)
+
 
 # -- views ---------------------------------------------------------------------------
 
@@ -782,7 +785,6 @@ class MinorView(Matroid):
     def __init__(self, parent: Matroid, contract_mask: int, delete_mask: int):
         self.parent = parent
         self._linear_flats = parent._linear_flats
-        self._closure_kernel = parent._closure_kernel
         self.contract_mask = contract_mask
         self.delete_mask = delete_mask
         gone = contract_mask | delete_mask
@@ -810,13 +812,7 @@ class MinorView(Matroid):
         return self.parent.rank(self.lift_mask(mask) | self.contract_mask) - self._rc
 
     def _closure_mask(self, mask: int) -> int:
-        """cl_{M/C\\D}(X) = cl_M(X + C) - C - D.
-
-        Without the kernel the parent's rank scan would also visit D, so
-        the view scans its own ground set.
-        """
-        if not self._closure_kernel:
-            return Matroid._closure_mask(self, mask)
+        """cl_{M/C\\D}(X) = cl_M(X + C) - C - D."""
         return self._drop_mask(self.parent.closure(self.lift_mask(mask) | self.contract_mask))
 
     def _flats_impl(self, k: int) -> list[int]:
@@ -855,7 +851,6 @@ class TruncationView(Matroid):
     def __init__(self, parent: Matroid, t: int):
         self.parent = parent
         self._linear_flats = parent._linear_flats
-        self._closure_kernel = parent._closure_kernel
         self.t = t
         super().__init__(parent.n)
 
@@ -889,7 +884,6 @@ class PrincipalExtensionView(Matroid):
             raise ValueError("principal extension requires a flat")
         self.parent = parent
         self._linear_flats = parent._linear_flats
-        self._closure_kernel = parent._closure_kernel
         self.fmask = fmask
         super().__init__(parent.n + 1)
 
@@ -952,6 +946,9 @@ class DirectSumView(Matroid):
     def _rank_mask(self, mask: int) -> int:
         return self.m1.rank(mask & self._low) + self.m2.rank(mask >> self.m1.n)
 
+    def _closure_mask(self, mask: int) -> int:
+        return self.m1.closure(mask & self._low) | (self.m2.closure(mask >> self.m1.n) << self.m1.n)
+
 
 class ParallelConnectionView(Matroid):
     """Glue m1 and m2 across a shared basepoint.
@@ -972,19 +969,34 @@ class ParallelConnectionView(Matroid):
                 raise ValueError("basepoint is a coloop")
         self.m1, self.m2, self.p1, self.p2 = m1, m2, p1, p2
         super().__init__(m1.n + m2.n - 1)
-        self._m2_ids = tuple(e for e in range(m2.n) if e != p2)
+
+    def _traces(self, mask: int) -> tuple[int, int]:
+        """(X1, X2) in m1's and m2's ids, each holding its basepoint when X does."""
+        p2 = self.p2
+        x1 = mask & ((1 << self.m1.n) - 1)
+        y = mask >> self.m1.n
+        x2 = (y & ((1 << p2) - 1)) | ((y >> p2) << (p2 + 1)) | ((x1 >> self.p1 & 1) << p2)
+        return x1, x2
 
     def _rank_mask(self, mask: int) -> int:
-        x1 = mask & ((1 << self.m1.n) - 1)
-        x2 = 0
-        for i in bits(mask >> self.m1.n):
-            x2 |= 1 << self._m2_ids[i]
-        if mask & (1 << self.p1):
-            x2 |= 1 << self.p2
+        x1, x2 = self._traces(mask)
         b1, b2 = 1 << self.p1, 1 << self.p2
         joined = self.m1.rank(x1 | b1) + self.m2.rank(x2 | b2) - 1
         split = self.m1.rank(x1) + self.m2.rank(x2)
         return min(joined, split)
+
+    def _closure_mask(self, mask: int) -> int:
+        """cl_1(X1) + cl_2(X2), closed again with the basepoint on both
+        sides when either holds it: a set is a flat when both its traces
+        are (Oxley, Matroid Theory, Prop. 11.4.14)."""
+        x1, x2 = self._traces(mask)
+        b1, p2 = 1 << self.p1, self.p2
+        c1, c2 = self.m1.closure(x1), self.m2.closure(x2)
+        if c1 & b1 or c2 >> p2 & 1:
+            c1, c2 = self.m1.closure(x1 | b1), self.m2.closure(x2 | 1 << p2)
+        # side 2 in the view's ids: drop p2, move m2's later elements down one
+        c2 = (c2 & ((1 << p2) - 1)) | ((c2 >> (p2 + 1)) << p2)
+        return c1 | (c2 << self.m1.n)
 
 
 # -- helpers ------------------------------------------------------------------------

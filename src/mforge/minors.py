@@ -139,12 +139,10 @@ def are_isomorphic(m: Matroid, n: Matroid) -> IsoCertificate | None:
     at most r elements.  Every pruning decision is the one a check of all
     prefix subsets would make, and a completed map agrees on all subsets.
     """
-    if m.n != n.n:
+    if m.n != n.n or m.full_rank != n.full_rank:
         return None
     if m.n > ISO_CAP:
         raise SizeCapError(f"isomorphism search needs n <= {ISO_CAP}, got {m.n}")
-    if m.full_rank != n.full_rank:
-        return None
     if m.n == 0:
         return IsoCertificate(())
     fm, fn = _fingerprints(m), _fingerprints(n)
@@ -197,15 +195,9 @@ def are_isomorphic(m: Matroid, n: Matroid) -> IsoCertificate | None:
 
 def _is_uniform_line(n: Matroid) -> int | None:
     """If N is a simple rank-2 uniform matroid, its size; else None."""
-    if n.full_rank != 2 or n.n < 2:
-        return None
-    for e in range(n.n):
-        if n.rank(1 << e) != 1:
-            return None
-    for pair in ksubset_masks(n.n, 2):
-        if n.rank(pair) != 2:
-            return None
-    return n.n
+    if n.full_rank == 2 and not n.loops() and n.epsilon() == n.n:
+        return n.n
+    return None
 
 
 def has_minor(m: Matroid, n: Matroid) -> MinorWitness | None:
@@ -224,13 +216,11 @@ def has_minor(m: Matroid, n: Matroid) -> MinorWitness | None:
             return None
         if m.n > MINOR_CAP:
             return _line_minor_witness(m, line)
+    csize = m.full_rank - n.full_rank
+    if n.n > m.n or csize < 0:
+        return None
     if m.n > MINOR_CAP:
         raise SizeCapError(f"minor search needs |E| <= {MINOR_CAP}, got {m.n}")
-    if n.n > m.n:
-        return None
-    csize = m.full_rank - n.full_rank
-    if csize < 0:
-        return None
     n_loops = n.loops().bit_count()
     n_eps = n.epsilon()
     full = (1 << m.n) - 1
@@ -263,12 +253,8 @@ def _line_minor_witness(m: Matroid, size: int) -> MinorWitness | None:
     r = m.full_rank
     if r < 2:
         return None
-    if r == 2:
-        colines = [m.closure(0)]
-    else:
-        colines = m.flats_of_rank(r - 2)
     full = (1 << m.n) - 1
-    for co in sorted(colines):
+    for co in m.flats_of_rank(r - 2):
         basis = m._greedy_basis(co)
         mc = m.contract(basis)
         classes = mc.point_classes()
@@ -277,7 +263,7 @@ def _line_minor_witness(m: Matroid, size: int) -> MinorWitness | None:
         keep = 0
         for cls in classes[:size]:
             keep |= cls & -cls
-        kept_m = mc.lift_mask(keep)
+        kept_m = keep if mc is m else mc.lift_mask(keep)
         dmask = full ^ basis ^ kept_m
         if _is_uniform_line(m.minor(basis, dmask)) == size:
             return MinorWitness(basis, dmask, IsoCertificate(tuple(range(size))))
@@ -333,7 +319,7 @@ def longline_step(m: Matroid, q: int, e: int) -> LonglineStep:
     eb = 1 << e
     seen = set()
     for cls in classes:
-        if cls & eb or m.rank(eb | (cls & -cls)) == 1:
+        if cls & eb:
             continue
         line = m.closure(eb | (cls & -cls))
         if line in seen:

@@ -9,6 +9,7 @@ import pytest
 
 import mforge
 from mforge.cli import main
+from mforge.serialize import save_path
 from mforge.suites import SUITES
 
 
@@ -236,6 +237,16 @@ def test_internal_error_exits_two(capsys):
     assert out == ""
     assert err.startswith("mforge: internal: RecursionError: ")
     assert len(err.splitlines()) == 1
+
+
+def test_iso_rank_mismatch_above_the_cap_exits_one(tmp_path, capsys):
+    # 21 > ISO_CAP elements on each side, but rank 3 against rank 5
+    plane, cols = tmp_path / "plane.json", tmp_path / "cols.json"
+    save_path(mforge.pg(3, 4).matroid, str(plane))
+    save_path(mforge.pg(5, 2).matroid.restrict_columns((1 << 21) - 1), str(cols))
+    code, out, _ = run(capsys, "iso", str(plane), str(cols))
+    assert code == 1
+    assert json.loads(out) == {"isomorphic": False}
 
 
 def _loaded_after(*argv) -> set[str]:

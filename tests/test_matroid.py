@@ -260,14 +260,15 @@ def test_ternary_span_rank_differential():
 
 
 @st.composite
-def _linear_matroids(draw, fields=(2, 3, 4, 5, 7, 8, 9)):
-    """GF(q) columns, n <= 8, with loops, parallel pairs and rank < dim."""
+def _linear_matroids(draw, fields=(2, 3, 4, 5, 7, 8, 9), min_n=0, max_n=8):
+    """GF(q) columns, min_n <= n <= max_n, with loops, parallel pairs and
+    rank < dim."""
     gf = field_new(draw(st.sampled_from(fields)))
     dim = draw(st.integers(1, 4))
     zero_row = draw(st.none() | st.integers(0, dim - 1))
     entry = st.integers(0, gf.q - 1)
     cols = []
-    for _ in range(draw(st.integers(0, 8))):
+    for _ in range(draw(st.integers(min_n, max_n))):
         kind = draw(st.sampled_from(["fresh", "loop", "parallel"]))
         if kind == "loop":
             cols.append((0,) * dim)
@@ -287,15 +288,35 @@ def test_point_table_property(m):
 
 
 @st.composite
+def _leaves(draw, min_n=0, max_n=8):
+    """A builder of fresh copies of one leaf: a LinearMatroid over GF(2),
+    GF(3) or GF(5), or its materialize_bases copy."""
+    lin = draw(_linear_matroids(fields=(2, 3, 5), min_n=min_n, max_n=max_n))
+    if draw(st.booleans()):
+        return lambda: LinearMatroid(lin.field, lin.columns)
+    return lambda: materialize_bases(LinearMatroid(lin.field, lin.columns))
+
+
+def _basepoints(m):
+    """The elements of m that are neither loops nor coloops."""
+    full = (1 << m.n) - 1
+    return [p for p in range(m.n)
+            if m.rank(1 << p) == 1 and m.rank(full ^ (1 << p)) == m.full_rank]
+
+
+@st.composite
 def _view_stacks(draw):
-    """Two separately built copies of one matroid: a LinearMatroid over
-    GF(2), GF(3) or GF(5) under up to three minor, truncation or principal
-    extension views (on a random flat)."""
-    base = draw(_linear_matroids(fields=(2, 3, 5)))
+    """Two separately built copies of one matroid of at most 10 elements: a
+    leaf under up to three minor, truncation, principal extension (on a
+    random flat), dual, direct sum or parallel connection views, each of the
+    last two with a second leaf."""
+    kinds = draw(st.lists(st.sampled_from(
+        ["parallel", "sum", "dual", "minor", "truncation", "extension"]), max_size=3))
+    # a parallel connection needs a basepoint, which three elements make likely
+    make = draw(_leaves(min_n=3 if kinds[:1] == ["parallel"] else 0))
     steps = []
-    m = base
-    for _ in range(draw(st.integers(0, 3))):
-        kind = draw(st.sampled_from(["minor", "truncation", "extension"]))
+    m = make()
+    for kind in kinds:
         if kind == "minor":
             roles = draw(st.lists(st.sampled_from("kcd"), min_size=m.n, max_size=m.n))
             contract = mask_of(e for e, role in enumerate(roles) if role == "c")
@@ -304,24 +325,44 @@ def _view_stacks(draw):
         elif kind == "truncation" and m.full_rank >= 2:
             t = draw(st.integers(1, m.full_rank - 1))
             steps.append(lambda v, t=t: v.truncate(t))
-        elif kind == "extension":
+        elif kind == "extension" and m.n < 10:
             flat = Matroid._closure_mask(m, draw(st.integers(0, (1 << m.n) - 1)))
             steps.append(lambda v, f=flat: v.principal_extension(f))
+        elif kind == "dual":
+            steps.append(lambda v: v.dual())
+        elif kind == "sum" and m.n < 10:
+            other = draw(_leaves(max_n=min(8, 10 - m.n)))
+            steps.append(lambda v, o=other: direct_sum(v, o()))
+        elif kind == "parallel" and m.n <= 8 and _basepoints(m):
+            other = draw(_leaves(min_n=3, max_n=min(8, 11 - m.n)))
+            points2 = _basepoints(other())
+            if not points2:
+                continue
+            p1 = draw(st.sampled_from(_basepoints(m)))
+            p2 = draw(st.sampled_from(points2))
+            steps.append(lambda v, o=other, p1=p1, p2=p2: parallel_connection(v, o(), p1, p2))
         else:
             continue
         m = steps[-1](m)
-    ref = LinearMatroid(base.field, base.columns)
+    ref = make()
     for step in steps:
         ref = step(ref)
     return m, ref
 
 
+def _stack(m):
+    """m and every matroid below it: parents and summands."""
+    yield m
+    for below in ("parent", "m1", "m2"):
+        if hasattr(m, below):
+            yield from _stack(getattr(m, below))
+
+
 def _forget(m):
     """Clear every rank and closure memo down the view stack."""
-    while m is not None:
-        m._memo.clear()
-        m._closures.clear()
-        m = getattr(m, "parent", None)
+    for v in _stack(m):
+        v._memo.clear()
+        v._closures.clear()
 
 
 def _pair_scan_classes(m):
@@ -343,6 +384,9 @@ def _twins(q, columns):
 
 @settings(max_examples=120)
 @given(_view_stacks())
+# a swirl: minors of a principal extension of nested parallel connections
+# of bases leaves
+@example(tuple(free_swirl(4).matroid for _ in range(2)))
 # density_witness's Llambda: a minor of a minor of a principal extension
 @example(tuple(density_witness(2, "Llambda", 2).matroid for _ in range(2)))
 # a span looked up from pivots found in descending order of lowest bit
@@ -364,10 +408,9 @@ def test_closure_kernel_differential(pair):
         assert m.closure(x) == Matroid._closure_mask(ref, x)
     for x in range(1 << m.n):
         assert m.rank(x) == ref.rank(x)
-    root = m
-    while hasattr(root, "parent"):
-        root = root.parent
-    assert all(r == _reference_rank(root, x) for x, r in root._memo.items())
+    for leaf in _stack(m):
+        if isinstance(leaf, LinearMatroid):
+            assert all(r == _reference_rank(leaf, x) for x, r in leaf._memo.items())
     for bad in (-1, 1 << m.n):
         with pytest.raises(ValueError):
             m.closure(bad)

@@ -96,6 +96,24 @@ def test_has_minor_line_shortcut_on_big_host():
     assert has_minor(host, uniform(2, 14).matroid) is None
 
 
+def test_line_witness_on_a_big_rank_two_host():
+    # PG(1,25) has 26 > MINOR_CAP points and no coline to contract
+    host = pg(2, 25).matroid
+    assert host.full_rank == 2 and host.n > minors.MINOR_CAP
+    wit = has_minor(host, uniform(2, 4).matroid)
+    assert wit is not None and wit.contract == 0
+    assert iso_is_valid(host.minor(0, wit.delete), uniform(2, 4).matroid, wit.iso.mapping)
+
+
+def test_size_and_rank_negatives_come_before_the_caps():
+    # both pairs differ in rank, so each answer is a definitive negative,
+    # though the ground sets are above ISO_CAP and MINOR_CAP
+    plane, big = pg(3, 4).matroid, pg(5, 2).matroid
+    assert plane.n > minors.ISO_CAP and big.n > minors.MINOR_CAP
+    assert are_isomorphic(plane, big.restrict_columns((1 << plane.n) - 1)) is None
+    assert has_minor(big, uniform(6, 6).matroid) is None
+
+
 def _loop_and_parallel_host():
     gf3 = field_new(3)
     cols = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (2, 2, 0), (1, 2, 0), (1, 0, 1)]
