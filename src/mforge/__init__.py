@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _SUBMODULE = {
     name: module
     for module, names in {
-        "gf": ("GF", "field_new", "is_prime", "prime_power"),
+        "gf": ("GF", "field_new", "is_prime", "prime_power", "prime_powers_upto"),
         "matroid": ("Matroid", "LinearMatroid", "BasesMatroid", "bits", "mask_of",
                     "ksubset_masks", "direct_sum", "materialize_bases", "rank_axioms_hold"),
         "constructions": ("NamedMatroid", "pg", "ag", "uniform", "theta_graph", "free_spike",
@@ -28,13 +28,14 @@ _SUBMODULE = {
                    "are_isomorphic", "iso_is_valid", "has_minor", "longest_line_minor",
                    "longline_step", "dense_restriction", "growth_hypothesis_holds",
                    "weighted_density_exceeds", "unavoidable_minor_of_extension"),
-        "representability": ("prime_powers_upto", "SpikeWitness", "spike_rep_predicate",
+        "representability": ("SpikeWitness", "spike_rep_predicate",
                              "swirl_rep_predicate", "spike_witness_search",
                              "swirl_witness_search", "witness_is_valid",
                              "brute_force_linear_rep", "membership_flags", "ClassSpec",
                              "BaseReport", "eventual_base"),
         "serialize": ("matroid_to_json", "matroid_from_json", "io_roundtrip"),
-        "corpus": ("CorpusCaps", "corpus_generate", "descriptor"),
+        "records": ("CorpusCaps",),
+        "corpus": ("corpus_generate", "descriptor"),
         "suites": ("SUITES", "SuiteReport", "run_suite"),
         "errors": ("MforgeError", "NotPrimePowerError", "SizeCapError", "SchemaError",
                    "NotAnExtensionError", "RepresentableInputError", "LemmaViolationError"),

@@ -88,14 +88,11 @@ def _parse_caps(text: str | None) -> dict:
 
 
 def _caps_from(args):
-    from dataclasses import replace
+    from .records import CorpusCaps
 
-    from .corpus import CorpusCaps
-
-    caps = CorpusCaps()
     merged = _parse_caps(os.environ.get("MFORGE_CAPS"))
     merged.update(_parse_caps(getattr(args, "caps", None)))
-    return replace(caps, **merged) if merged else caps
+    return CorpusCaps(**merged)
 
 
 def _emit(doc: dict, out: str | None) -> None:

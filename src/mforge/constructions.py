@@ -14,7 +14,6 @@ contract; tests freeze it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 from .errors import SizeCapError
@@ -29,16 +28,17 @@ from .matroid import (
     ksubset_masks,
     mask_of,
 )
+from .records import FrozenRecord
 
 POINT_CAP = 4096
 
 
-@dataclass(frozen=True)
-class NamedMatroid:
-    matroid: Matroid
-    name: str
-    provenance: str
-    meta: dict = field(default_factory=dict)
+class NamedMatroid(FrozenRecord):
+    """A matroid with its display name, its recipe and a meta dict of labels
+    (a fresh {} by default)."""
+
+    __slots__ = ("matroid", "name", "provenance", "meta")
+    _defaults = {"meta": dict}
 
     @property
     def n(self) -> int:

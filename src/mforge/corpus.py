@@ -23,7 +23,6 @@ Composition notes, mostly about avoiding accidental duplicates:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .constructions import (
     NamedMatroid,
@@ -38,12 +37,7 @@ from .constructions import (
     uniform,
 )
 from .matroid import BasesMatroid, LinearMatroid, bits, ksubset_masks, mask_of
-
-
-@dataclass(frozen=True)
-class CorpusCaps:
-    max_ground: int = 64
-    max_rank: int = 8
+from .records import CorpusCaps  # defined apart so the CLI can build caps cheaply
 
 
 def descriptor(nm: NamedMatroid) -> str:

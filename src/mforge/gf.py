@@ -52,6 +52,24 @@ def prime_power(q: int) -> tuple[int, int] | None:
     return (q, 1)  # q has no divisor <= sqrt(q), hence prime
 
 
+def prime_powers_upto(n: int) -> list[int]:
+    if n < 2:
+        return []
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0:2] = b"\x00\x00"
+    for p in range(2, int(n**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    out = []
+    for p in range(2, n + 1):
+        if sieve[p]:
+            pk = p
+            while pk <= n:
+                out.append(pk)
+                pk *= p
+    return sorted(out)
+
+
 def _poly_trim(f: list[int]) -> list[int]:
     while f and f[-1] == 0:
         f.pop()

@@ -220,6 +220,8 @@ class Matroid:
         """
         if k < 0 or k > self.full_rank:
             raise ValueError(f"flat rank {k} outside [0, {self.full_rank}]")
+        if k == 0:
+            return [self.closure(0)]  # the one rank-0 flat, at any ground size
         out = self._flats_impl(k)
         out.sort()
         return out
@@ -730,20 +732,26 @@ class BasesMatroid(Matroid):
             self._verify_exchange()
 
     def _verify_exchange(self):
+        """For bases b1 != b2 and x in b1 - b2, some y in b2 - b1 makes
+        b1 - x + y a basis.  The y that do (swaps) all lie outside b1, so the
+        exchange fails at x exactly when b2 misses avoid = swaps + x; b1 itself
+        never does.  Failures are found in order of b1, then b2, then x."""
         full = (1 << self.n) - 1
-        for b1 in self.bases:
-            # swaps[x]: the y for which b1 - x + y is a basis
-            swaps = {}
-            outside = bits(full ^ b1)
+        bases, bases_set = self.bases, self.bases_set
+        for b1 in bases:
+            outside = [1 << y for y in bits(full ^ b1)]
+            avoids = []
             for x in bits(b1):
                 base = b1 ^ (1 << x)
-                swaps[x] = mask_of(y for y in outside if base | (1 << y) in self.bases_set)
-            for b2 in self.bases:
-                if b1 == b2:
-                    continue
-                gain = b2 & ~b1
-                for x in bits(b1 & ~b2):
-                    if not swaps[x] & gain:
+                avoid = 1 << x
+                for y in outside:
+                    if base | y in bases_set:
+                        avoid |= y
+                avoids.append(avoid)
+            for b2 in bases:
+                for avoid in avoids:
+                    if not b2 & avoid:
+                        x = (avoid & b1).bit_length() - 1
                         raise ValueError(
                             f"basis exchange fails for {bits(b1)} / {bits(b2)} at {x}"
                         )

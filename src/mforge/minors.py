@@ -13,8 +13,6 @@ signs are decided by integer arithmetic alone, never floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import (
     LemmaViolationError,
     NotAnExtensionError,
@@ -22,6 +20,7 @@ from .errors import (
     SizeCapError,
 )
 from .matroid import Matroid, bits, ksubset_masks, mask_of
+from .records import FrozenRecord, Record
 
 ISO_CAP = 20
 MINOR_CAP = 24
@@ -30,28 +29,23 @@ MINOR_CAP = 24
 # -- certificates ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IsoCertificate:
+class IsoCertificate(FrozenRecord):
     """Element bijection: mapping[e] is the image of e."""
 
-    mapping: tuple[int, ...]
+    __slots__ = ("mapping",)
 
 
-@dataclass(frozen=True)
-class MinorWitness:
+class MinorWitness(FrozenRecord):
     """M / contract \\ delete is isomorphic to the target via iso.
 
     contract is independent in M; iso maps the relabeled minor ground
     (parent-order relabeling) onto the target's ground.
     """
 
-    contract: int
-    delete: int
-    iso: IsoCertificate
+    __slots__ = ("contract", "delete", "iso")
 
 
-@dataclass
-class DenseRestrictionReport:
+class DenseRestrictionReport(Record):
     """Outcome of the cocircuit-splitting descent.
 
     trace holds (cocircuit-mask-in-parent-ids, kept-side) pairs; restriction
@@ -61,12 +55,10 @@ class DenseRestrictionReport:
     that hypothesis, so callers get the measured values either way.
     """
 
-    restriction: int
-    trace: list[tuple[int, str]] = field(default_factory=list)
-    final: Matroid | None = None
-    final_rank: int = 0
-    final_dense: bool = False
-    hypothesis_holds: bool = False
+    __slots__ = ("restriction", "trace", "final", "final_rank", "final_dense",
+                 "hypothesis_holds")
+    _defaults = {"trace": list, "final": None, "final_rank": 0, "final_dense": False,
+                 "hypothesis_holds": False}
 
 
 def iso_is_valid(m: Matroid, n: Matroid, mapping) -> bool:
@@ -128,7 +120,7 @@ def _fingerprints(m: Matroid):
     return fps
 
 
-def are_isomorphic(m: Matroid, n: Matroid) -> IsoCertificate | None:
+def are_isomorphic(m: Matroid, n: Matroid, *, _n_prints=None) -> IsoCertificate | None:
     """Rank-preserving bijection, or None when provably absent.
 
     Backtracking over fingerprint-compatible images.  At each extension
@@ -138,6 +130,9 @@ def are_isomorphic(m: Matroid, n: Matroid) -> IsoCertificate | None:
     subset, on the side of larger rank, whose ranks disagree too, and it has
     at most r elements.  Every pruning decision is the one a check of all
     prefix subsets would make, and a completed map agrees on all subsets.
+
+    _n_prints, when given, is _fingerprints(n): has_minor computes it once
+    for all of its candidates.
     """
     if m.n != n.n or m.full_rank != n.full_rank:
         return None
@@ -145,7 +140,8 @@ def are_isomorphic(m: Matroid, n: Matroid) -> IsoCertificate | None:
         raise SizeCapError(f"isomorphism search needs n <= {ISO_CAP}, got {m.n}")
     if m.n == 0:
         return IsoCertificate(())
-    fm, fn = _fingerprints(m), _fingerprints(n)
+    fm = _fingerprints(m)
+    fn = _fingerprints(n) if _n_prints is None else _n_prints
     if sorted(fm) != sorted(fn):
         return None
     cands = [[f for f in range(n.n) if fn[f] == fm[e]] for e in range(m.n)]
@@ -223,6 +219,7 @@ def has_minor(m: Matroid, n: Matroid) -> MinorWitness | None:
         raise SizeCapError(f"minor search needs |E| <= {MINOR_CAP}, got {m.n}")
     n_loops = n.loops().bit_count()
     n_eps = n.epsilon()
+    n_prints = None  # the target's fingerprints, once a candidate needs them
     full = (1 << m.n) - 1
     for cmask in ksubset_masks(m.n, csize):
         if m.rank(cmask) != csize:
@@ -234,7 +231,9 @@ def has_minor(m: Matroid, n: Matroid) -> MinorWitness | None:
                 continue
             if cand.loops().bit_count() != n_loops or cand.epsilon() != n_eps:
                 continue
-            cert = are_isomorphic(cand, n)
+            if n_prints is None:
+                n_prints = _fingerprints(n)
+            cert = are_isomorphic(cand, n, _n_prints=n_prints)
             if cert is not None:
                 kept_m = keep if mc is m else mc.lift_mask(keep)
                 dmask = full ^ cmask ^ kept_m
@@ -295,16 +294,15 @@ def longest_line_minor(m: Matroid) -> int:
 # -- density dichotomy ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LonglineStep:
+class LonglineStep(FrozenRecord):
     """Outcome of the one-element density dichotomy.
 
     kind is "dense-contraction" (M/e stays q-dense) or "line-restriction"
     (a line through e carries at least q+2 points; `line` is its mask).
     """
 
-    kind: str
-    line: int | None = None
+    __slots__ = ("kind", "line")
+    _defaults = {"line": None}
 
 
 def longline_step(m: Matroid, q: int, e: int) -> LonglineStep:

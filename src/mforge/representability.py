@@ -20,12 +20,10 @@ values implicitly avoid it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .constructions import pg
 from .errors import SizeCapError
-from .gf import GF, is_prime, prime_power
+from .gf import GF, is_prime, prime_power, prime_powers_upto
 from .matroid import LinearMatroid, Matroid
+from .records import FrozenRecord, Record
 
 WITNESS_Q_CAP = 13
 WITNESS_K_CAP = 10
@@ -34,20 +32,16 @@ WITNESS_K_CAP = 10
 # -- group-condition witnesses ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpikeWitness:
+class SpikeWitness(FrozenRecord):
     """Group elements certifying representability of a rank-k spike or swirl.
 
     alphas has k-1 entries; no sub-multiset aggregate (sum for the additive
     group, product for the multiplicative group) equals beta1 or beta2.
-    Elements are field element indices.
+    Elements are field element indices; group is "additive" or
+    "multiplicative".
     """
 
-    group: str  # "additive" | "multiplicative"
-    q: int
-    alphas: tuple[int, ...]
-    beta1: int
-    beta2: int
+    __slots__ = ("group", "q", "alphas", "beta1", "beta2")
 
 
 def witness_is_valid(w: SpikeWitness) -> bool:
@@ -161,6 +155,8 @@ def brute_force_linear_rep(m: Matroid, q: int) -> LinearMatroid | None:
     represent loops or parallel pairs).  Capped at rank 3, 8 elements,
     q <= 7.
     """
+    from .constructions import pg
+
     r = m.full_rank
     if r > 3 or m.n > 8 or q > 7:
         raise SizeCapError("oracle capped at rank 3, 8 elements, q <= 7")
@@ -201,18 +197,15 @@ def brute_force_linear_rep(m: Matroid, q: int) -> LinearMatroid | None:
 # -- class membership and eventual bases -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(FrozenRecord):
     """Excluded-minor description: no (ell+2)-point line, no rank-k spikes or
     swirls for the listed ranks."""
 
-    line_ell: int | None = None
-    spike_ranks: frozenset = frozenset()
-    swirl_ranks: frozenset = frozenset()
+    __slots__ = ("line_ell", "spike_ranks", "swirl_ranks")
 
-    def __post_init__(self):
-        object.__setattr__(self, "spike_ranks", frozenset(self.spike_ranks))
-        object.__setattr__(self, "swirl_ranks", frozenset(self.swirl_ranks))
+    def __init__(self, line_ell: int | None = None, spike_ranks=frozenset(),
+                 swirl_ranks=frozenset()):
+        super().__init__(line_ell, frozenset(spike_ranks), frozenset(swirl_ranks))
         if self.line_ell is None and not self.spike_ranks and not self.swirl_ranks:
             raise ValueError("at least one exclusion is required")
         if self.line_ell is not None and not 2 <= self.line_ell <= 10**6:
@@ -229,8 +222,7 @@ class ClassSpec:
         return out
 
 
-@dataclass
-class BaseReport:
+class BaseReport(Record):
     """Computed eventual base q* with certification data.
 
     blocking maps each structure that must contain an excluded minor to the
@@ -239,10 +231,7 @@ class BaseReport:
     None and are repeated in gaps, making the report uncertified.
     """
 
-    base: int | None
-    certified: bool
-    blocking: dict
-    gaps: list
+    __slots__ = ("base", "certified", "blocking", "gaps")
 
 
 def _descr(kind: str, param: int) -> str:
@@ -301,24 +290,6 @@ def membership_flags(kind: str, param: int, q: int) -> dict[str, bool]:
     else:
         raise ValueError(f"unknown kind {kind!r}")
     return {f"in_{c}": _member(kind, param, q, c) == IN for c in ("L", "Lcirc", "Llambda")}
-
-
-def prime_powers_upto(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    out = []
-    for p in range(2, n + 1):
-        if sieve[p]:
-            pk = p
-            while pk <= n:
-                out.append(pk)
-                pk *= p
-    return sorted(out)
 
 
 def eventual_base(spec: ClassSpec) -> BaseReport:

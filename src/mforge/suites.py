@@ -5,64 +5,29 @@ returning a JSON-serializable dict with at least a "pass" bool; the
 runner calls them in order on the calling thread, sorts the results by
 case id, and wraps them in a SuiteReport.  Case ids are stable strings,
 so two runs with the same seed produce identical reports line for line.
+
+SUITES maps each suite name to its builder(seed, caps).  Builders and
+checks import the modules they use in their own bodies, so `mforge verify`
+loads only what the chosen suite runs.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import struct
 import time
-from dataclasses import dataclass, field
 
-from .constructions import (
-    density_witness,
-    free_spike,
-    free_swirl,
-    pg,
-    principal_geometry_extension,
-    uniform,
-)
-from .corpus import CorpusCaps, corpus_generate, descriptor
 from .errors import LemmaViolationError
-from .gf import field_new
-from .matroid import (
-    BasesMatroid,
-    LinearMatroid,
-    bits,
-    direct_sum,
-    mask_of,
-    materialize_bases,
-    rank_axioms_hold,
-)
-from .minors import (
-    are_isomorphic,
-    dense_restriction,
-    iso_is_valid,
-    longest_line_minor,
-    longline_step,
-    unavoidable_minor_of_extension,
-)
-from .representability import (
-    ClassSpec,
-    brute_force_linear_rep,
-    eventual_base,
-    prime_powers_upto,
-    spike_rep_predicate,
-    spike_witness_search,
-    swirl_rep_predicate,
-    swirl_witness_search,
-    witness_is_valid,
-)
+from .records import CorpusCaps, Record
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    seed: int
-    passed: bool
-    cases: list[dict]
-    elapsed_ms: int
-    meta: dict = field(default_factory=dict)
+class SuiteReport(Record):
+    """One suite run: suite, seed, passed, cases (one dict per case, sorted by
+    id), elapsed_ms and meta (a fresh {} by default)."""
+
+    __slots__ = ("suite", "seed", "passed", "cases", "elapsed_ms", "meta")
+    _defaults = {"meta": dict}
 
 
 def _fail(detail: str, **extra) -> dict:
@@ -79,7 +44,27 @@ def _ok(**extra) -> dict:
 
 # ---------------------------------------------------------------- fields
 
+def _randrange_values(rng: random.Random, q: int, count: int) -> list[int]:
+    """The next count values of rng.randrange(q), from few calls into rng.
+
+    randrange(q) keeps the top k = q.bit_length() bits of one 32-bit word of
+    the generator and draws again while they are q or more; getrandbits(32 w)
+    returns the next w words, the first in the lowest 32 bits.  So the words'
+    top bits, less the values of q or more, are the same stream.
+    """
+    shift = 32 - q.bit_length()
+    out: list[int] = []
+    while len(out) < count:
+        words = ((count - len(out)) << (32 - shift)) // q + 8
+        packed = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        out += [v for w in struct.unpack(f"<{words}I", packed) if (v := w >> shift) < q]
+    del out[count:]
+    return out
+
+
 def _check_field(q: int, seed: int) -> dict:
+    from .gf import field_new
+
     gf = field_new(q)
     els = list(gf.elements())
     for a in els:
@@ -97,8 +82,8 @@ def _check_field(q: int, seed: int) -> dict:
         triples = itertools.product(els, repeat=3)
         mode = "exhaustive"
     else:
-        rng = random.Random(seed * 1000003 + q)
-        triples = [(rng.randrange(q), rng.randrange(q), rng.randrange(q)) for _ in range(4096)]
+        vals = _randrange_values(random.Random(seed * 1000003 + q), q, 3 * 4096)
+        triples = zip(vals[0::3], vals[1::3], vals[2::3])
         mode = "sampled-4096"
     for a, b, c in triples:
         if gf.add(gf.add(a, b), c) != gf.add(a, gf.add(b, c)):
@@ -123,6 +108,8 @@ def _check_field(q: int, seed: int) -> dict:
 
 
 def _suite_field_axioms(seed: int, caps: CorpusCaps) -> list:
+    from .gf import prime_powers_upto
+
     return [
         (f"gf({q:02d})", (lambda q=q: _check_field(q, seed)))
         for q in prime_powers_upto(64)
@@ -140,11 +127,15 @@ def _ranks_agree_everywhere(a, b) -> int | None:
 
 
 def _check_axioms(m) -> dict:
+    from .matroid import rank_axioms_hold
+
     verdict = rank_axioms_hold(m)
     return _ok() if verdict is None else _fail(verdict)
 
 
 def _check_materialize(m) -> dict:
+    from .matroid import materialize_bases
+
     bm = materialize_bases(m, max_bases=200000)
     bad = _ranks_agree_everywhere(m, bm)
     if bad is None:
@@ -159,6 +150,9 @@ def _check_dual_dual(m) -> dict:
 
 
 def _suite_rank_axioms(seed: int, caps: CorpusCaps) -> list:
+    from .corpus import corpus_generate, descriptor
+    from .matroid import BasesMatroid, LinearMatroid
+
     cases = []
     for nm in corpus_generate(seed, caps):
         m, d = nm.matroid, descriptor(nm)
@@ -174,6 +168,8 @@ def _suite_rank_axioms(seed: int, caps: CorpusCaps) -> list:
 # ----------------------------------------------------------- point bounds
 
 def _check_point_bound(m) -> dict:
+    from .minors import longest_line_minor
+
     r = m.full_rank
     eps = m.epsilon()
     longest = longest_line_minor(m)
@@ -185,6 +181,9 @@ def _check_point_bound(m) -> dict:
 
 
 def _check_point_bound_tight(r: int, ell: int) -> dict:
+    from .constructions import pg
+    from .minors import longest_line_minor
+
     g = pg(r, ell).matroid
     eps = g.epsilon()
     want = (ell**r - 1) // (ell - 1)
@@ -197,6 +196,8 @@ def _check_point_bound_tight(r: int, ell: int) -> dict:
 
 
 def _suite_kung(seed: int, caps: CorpusCaps) -> list:
+    from .corpus import corpus_generate, descriptor
+
     cases = [
         (f"bound[{descriptor(nm)}]", (lambda m=nm.matroid: _check_point_bound(m)))
         for nm in corpus_generate(seed, caps)
@@ -212,6 +213,8 @@ def _suite_kung(seed: int, caps: CorpusCaps) -> list:
 # -------------------------------------------------- long-line step (dense)
 
 def _check_longline_all_elements(m, q: int) -> dict:
+    from .minors import longline_step
+
     kinds = {"dense-contraction": 0, "line-restriction": 0}
     classes = m.point_classes()
     for e in range(m.n):
@@ -235,6 +238,8 @@ def _check_longline_all_elements(m, q: int) -> dict:
 
 
 def _suite_lemma4(seed: int, caps: CorpusCaps) -> list:
+    from .corpus import corpus_generate, descriptor
+
     cases = []
     for q in (2, 3):
         for nm in corpus_generate(seed, caps):
@@ -251,6 +256,8 @@ def _suite_lemma4(seed: int, caps: CorpusCaps) -> list:
 # ------------------------------------------------- dense restriction chain
 
 def _check_dense_restriction(m, q: int, t: int) -> dict:
+    from .minors import dense_restriction
+
     try:
         rep = dense_restriction(m, q, t)
     except LemmaViolationError as exc:
@@ -263,6 +270,10 @@ def _check_dense_restriction(m, q: int, t: int) -> dict:
 
 
 def _check_worked_descent() -> dict:
+    from .constructions import uniform
+    from .matroid import direct_sum, mask_of
+    from .minors import dense_restriction
+
     big = uniform(3, 13).matroid
     small = uniform(2, 3).matroid
     m = direct_sum(big, small).truncate(4)
@@ -281,6 +292,10 @@ def _check_worked_descent() -> dict:
 
 
 def _check_cocircuit_branch() -> dict:
+    from .constructions import uniform
+    from .matroid import direct_sum, mask_of
+    from .minors import dense_restriction
+
     line = uniform(2, 16).matroid
     plane = uniform(3, 4).matroid
     m = direct_sum(line, plane).truncate(4)
@@ -295,6 +310,8 @@ def _check_cocircuit_branch() -> dict:
 
 
 def _suite_lemma5(seed: int, caps: CorpusCaps) -> list:
+    from .corpus import corpus_generate, descriptor
+
     cases = [
         ("synthetic[hyperplane-kept]", _check_worked_descent),
         ("synthetic[cocircuit-kept]", _check_cocircuit_branch),
@@ -314,6 +331,10 @@ def _suite_lemma5(seed: int, caps: CorpusCaps) -> list:
 # ------------------------------------------- extensions of geometries
 
 def _check_extension(m: int, q: int, flat: int, want_tag: str) -> dict:
+    from .constructions import pg, principal_geometry_extension
+    from .matroid import bits
+    from .minors import iso_is_valid, unavoidable_minor_of_extension
+
     geom = pg(2 * m, q).matroid
     ext = geom.principal_extension(flat)
     tag, wit = unavoidable_minor_of_extension(ext, m, q)
@@ -327,6 +348,8 @@ def _check_extension(m: int, q: int, flat: int, want_tag: str) -> dict:
 
 
 def _suite_lemma6(seed: int, caps: CorpusCaps) -> list:
+    from .constructions import pg
+
     cases = []
     geom = pg(4, 2).matroid
     flats = geom.flats_of_rank(2) + geom.flats_of_rank(3) + [(1 << geom.n) - 1]
@@ -355,6 +378,14 @@ _ORACLE_KS = tuple(range(3, 11))
 
 
 def _check_oracle(kind: str, k: int, q: int) -> dict:
+    from .representability import (
+        spike_rep_predicate,
+        spike_witness_search,
+        swirl_rep_predicate,
+        swirl_witness_search,
+        witness_is_valid,
+    )
+
     if kind == "spike":
         pred = spike_rep_predicate(k, q)
         wit = spike_witness_search(k, q)
@@ -386,6 +417,9 @@ def _suite_oracle(kind: str):
 # ------------------------------------------------- brute-force cross check
 
 def _check_rep_cross(q: int) -> dict:
+    from .constructions import free_spike
+    from .representability import brute_force_linear_rep, spike_rep_predicate
+
     m = free_spike(3).matroid
     rep = brute_force_linear_rep(m, q)
     pred = spike_rep_predicate(3, q)
@@ -405,6 +439,8 @@ def _suite_rep_cross(seed: int, caps: CorpusCaps) -> list:
 # ------------------------------------------------------- growth witnesses
 
 def _check_growth(q: int, cls: str, n: int) -> dict:
+    from .constructions import density_witness
+
     nm = density_witness(q, cls, n)
     m = nm.matroid
     pts = (q ** (n + 1) - 1) // (q - 1)
@@ -437,6 +473,10 @@ def _pairs_of(nm) -> list[tuple[int, int]]:
 
 
 def _check_spike_structure(k: int) -> dict:
+    from .constructions import free_spike, uniform
+    from .matroid import mask_of
+    from .minors import are_isomorphic, iso_is_valid
+
     nm = free_spike(k)
     m = nm.matroid
     if m.full_rank != k or m.epsilon() != 2 * k or m.n != 2 * k:
@@ -455,6 +495,10 @@ def _check_spike_structure(k: int) -> dict:
 
 
 def _check_swirl_structure(k: int) -> dict:
+    from .constructions import free_swirl, uniform
+    from .matroid import mask_of
+    from .minors import are_isomorphic, iso_is_valid
+
     nm = free_swirl(k)
     m = nm.matroid
     if m.full_rank != k or m.epsilon() != 2 * k or m.n != 2 * k:
@@ -486,22 +530,9 @@ def _suite_structure(kind: str):
 
 # ------------------------------------------------------- eventual base
 
-_BASE_ROWS = [
-    ("line9", ClassSpec(line_ell=9), 9, True, []),
-    ("line10+spike5", ClassSpec(line_ell=10, spike_ranks=frozenset({5})), 5, True, []),
-    (
-        "line3+spike3+swirl3",
-        ClassSpec(line_ell=3, spike_ranks=frozenset({3}), swirl_ranks=frozenset({3})),
-        3,
-        True,
-        [],
-    ),
-    ("line5+swirl4", ClassSpec(line_ell=5, swirl_ranks=frozenset({4})), 4, True, []),
-    ("line25+swirl4", ClassSpec(line_ell=25, swirl_ranks=frozenset({4})), 4, False, ["Lcirc(4)"]),
-]
+def _check_base_row(spec, base: int, certified: bool, gaps: list[str]) -> dict:
+    from .representability import eventual_base
 
-
-def _check_base_row(spec: ClassSpec, base: int, certified: bool, gaps: list[str]) -> dict:
     rep = eventual_base(spec)
     if rep.base != base or rep.certified != certified or list(rep.gaps) != gaps:
         return _fail(
@@ -512,6 +543,8 @@ def _check_base_row(spec: ClassSpec, base: int, certified: bool, gaps: list[str]
 
 
 def _check_base_monotone() -> dict:
+    from .representability import ClassSpec, eventual_base
+
     wide = eventual_base(ClassSpec(line_ell=9))
     narrow = eventual_base(ClassSpec(line_ell=9, spike_ranks=frozenset({4})))
     if narrow.base > wide.base:
@@ -520,9 +553,25 @@ def _check_base_monotone() -> dict:
 
 
 def _suite_eventual_base(seed: int, caps: CorpusCaps) -> list:
+    from .representability import ClassSpec
+
+    rows = [
+        ("line9", ClassSpec(line_ell=9), 9, True, []),
+        ("line10+spike5", ClassSpec(line_ell=10, spike_ranks=frozenset({5})), 5, True, []),
+        (
+            "line3+spike3+swirl3",
+            ClassSpec(line_ell=3, spike_ranks=frozenset({3}), swirl_ranks=frozenset({3})),
+            3,
+            True,
+            [],
+        ),
+        ("line5+swirl4", ClassSpec(line_ell=5, swirl_ranks=frozenset({4})), 4, True, []),
+        ("line25+swirl4", ClassSpec(line_ell=25, swirl_ranks=frozenset({4})), 4, False,
+         ["Lcirc(4)"]),
+    ]
     cases = [
         (f"row[{name}]", (lambda s=spec, b=base, c=cert, g=gaps: _check_base_row(s, b, c, g)))
-        for name, spec, base, cert, gaps in _BASE_ROWS
+        for name, spec, base, cert, gaps in rows
     ]
     cases.append(("monotone[line9]", _check_base_monotone))
     return cases

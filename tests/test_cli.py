@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import os
@@ -249,19 +250,29 @@ def test_iso_rank_mismatch_above_the_cap_exits_one(tmp_path, capsys):
     assert json.loads(out) == {"isomorphic": False}
 
 
+def _modules_after(code: str, *argv) -> set[str]:
+    """Modules a fresh process holds after running code with ARGV."""
+    src = str(Path(mforge.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code + "\nprint(json.dumps(sorted(sys.modules)))",
+                           *map(str, argv)], env=env, capture_output=True, text=True, check=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@functools.cache
+def _bare_modules() -> frozenset[str]:
+    return frozenset(_modules_after("import json, sys"))
+
+
 def _loaded_after(*argv) -> set[str]:
-    """Modules a fresh process holds after running `mforge ARGV`."""
+    """Modules a fresh process loads to run `mforge ARGV`, beyond those a bare
+    interpreter already holds (a site hook may load some of them first)."""
     probe = (
         "import json, sys\n"
         "from mforge.cli import main\n"
-        "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass\n"
-        "print(json.dumps(sorted(sys.modules)))"
+        "try:\n    main(sys.argv[1:])\nexcept SystemExit:\n    pass"
     )
-    src = str(Path(mforge.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", probe, *map(str, argv)], env=env,
-                          capture_output=True, text=True, check=True)
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return _modules_after(probe, *argv) - _bare_modules()
 
 
 def test_help_loads_only_the_cli():
@@ -281,6 +292,30 @@ def test_iso_and_has_minor_load_only_what_they_use(tmp_path, capsys):
         loaded = _loaded_after(*argv)
         assert "mforge.minors" in loaded
         assert not loaded & unused, argv
+
+
+def test_verify_field_axioms_loads_only_the_field():
+    loaded = _loaded_after("verify", "field-axioms")
+    assert "mforge.gf" in loaded
+    assert not loaded & {"mforge.minors", "mforge.representability", "mforge.constructions",
+                         "mforge.corpus", "dataclasses"}
+
+
+SEARCH_SUITES = ("spike-oracle", "swirl-oracle", "rep-cross", "field-axioms",
+                 "spike-structure", "swirl-structure", "eventual-base")
+
+
+def test_search_commands_load_no_dataclasses_or_inspect(tmp_path, capsys):
+    fano = tmp_path / "fano.json"
+    u23 = tmp_path / "u23.json"
+    run(capsys, "construct", "pg", "n=3", "q=2", "--out", str(fano))
+    run(capsys, "construct", "uniform", "r=2", "n=3", "--out", str(u23))
+    runs = [("verify", suite) for suite in SEARCH_SUITES]
+    runs += [("iso", fano, fano), ("has-minor", fano, u23)]
+    for argv in runs:
+        loaded = _loaded_after(*argv)
+        assert "mforge.cli" in loaded, argv
+        assert not loaded & {"dataclasses", "inspect"}, argv
 
 
 def test_verify_help_lists_every_suite(capsys):

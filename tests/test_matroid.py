@@ -652,6 +652,72 @@ def test_bases_backend_verification():
     assert m.epsilon() == 4
 
 
+def _reference_exchange(n, bases):
+    """The basis-exchange check as first written: the message of the first
+    failure in order of b1, then b2, then x, or None."""
+    full = (1 << n) - 1
+    bases_set = set(bases)
+    for b1 in bases:
+        swaps = {}
+        outside = bits(full ^ b1)
+        for x in bits(b1):
+            base = b1 ^ (1 << x)
+            swaps[x] = mask_of(y for y in outside if base | (1 << y) in bases_set)
+        for b2 in bases:
+            if b1 == b2:
+                continue
+            gain = b2 & ~b1
+            for x in bits(b1 & ~b2):
+                if not swaps[x] & gain:
+                    return f"basis exchange fails for {bits(b1)} / {bits(b2)} at {x}"
+    return None
+
+
+def _exchange_families(rng):
+    """Bases of matroids with loops and coloops, the same with one basis
+    dropped or one k-set added, and random families of k-sets."""
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        k = rng.randint(0, n)
+        ksets = list(ksubset_masks(n, k))
+        if k == 0:
+            yield n, ksets
+            continue
+        # a random linear matroid on columns 0..k-1 of the identity and random
+        # vectors, then a loop (a zero column) and a coloop (a new coordinate)
+        q = rng.choice((2, 3))
+        cols = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+        cols += [tuple(rng.randrange(q) for _ in range(k)) for _ in range(n - k)]
+        rng.shuffle(cols)
+        extra = [(0,) * (k + 1), (0,) * k + (1,)]
+        m = LinearMatroid(field_new(q), [c + (0,) for c in cols] + extra)
+        bases = materialize_bases(m).bases
+        yield m.n, bases
+        if len(bases) > 1:
+            drop = rng.choice(bases)
+            yield m.n, [b for b in bases if b != drop]
+        others = [s for s in ksubset_masks(m.n, m.full_rank) if s not in set(bases)]
+        if others:
+            yield m.n, sorted(bases + [rng.choice(others)])
+        yield n, sorted(rng.sample(ksets, rng.randint(1, len(ksets))))
+
+
+def test_exchange_check_matches_reference():
+    rng = random.Random(12)
+    outcomes = {True: 0, False: 0}
+    for n, bases in _exchange_families(rng):
+        bases = sorted(set(bases))
+        want = _reference_exchange(n, bases)
+        if want is None:
+            BasesMatroid(n, bases, verify=True)
+        else:
+            with pytest.raises(ValueError) as exc:
+                BasesMatroid(n, bases, verify=True)
+            assert str(exc.value) == want
+        outcomes[want is None] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
 def test_bases_verification_above_cap_refuses():
     # not a matroid: the 7-sets containing 0 plus {1..7}, 5006 sets
     bad = [mask_of(b) | 1 for b in itertools.combinations(range(1, 16), 6)] + [0b11111110]

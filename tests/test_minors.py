@@ -105,6 +105,17 @@ def test_line_witness_on_a_big_rank_two_host():
     assert iso_is_valid(host.minor(0, wit.delete), uniform(2, 4).matroid, wit.iso.mapping)
 
 
+def test_line_witness_on_a_rank_two_host_above_the_flat_cap():
+    # 70 > ENUM_CAP elements: the only rank-0 flat is cl(empty), so no
+    # enumeration cap applies, on the bases backend and on a view of it
+    host = BasesMatroid(70, list(ksubset_masks(70, 2)), verify=False)  # U(2,70)
+    assert host.flats_of_rank(0) == [0]
+    assert host.delete(1).flats_of_rank(0) == [0]
+    wit = has_minor(host, uniform(2, 4).matroid)
+    assert wit is not None and wit.contract == 0
+    assert iso_is_valid(host.minor(0, wit.delete), uniform(2, 4).matroid, wit.iso.mapping)
+
+
 def test_size_and_rank_negatives_come_before_the_caps():
     # both pairs differ in rank, so each answer is a definitive negative,
     # though the ground sets are above ISO_CAP and MINOR_CAP

@@ -1,0 +1,88 @@
+import pickle
+
+import pytest
+
+from mforge import (
+    BaseReport,
+    ClassSpec,
+    CorpusCaps,
+    DenseRestrictionReport,
+    IsoCertificate,
+    LonglineStep,
+    MinorWitness,
+    NamedMatroid,
+    SpikeWitness,
+    SuiteReport,
+    uniform,
+)
+
+
+def test_result_records_behave_like_the_dataclasses_they_replace():
+    iso = IsoCertificate((1, 0))
+    frozen = [
+        (iso, "IsoCertificate(mapping=(1, 0))"),
+        (MinorWitness(1, 2, iso),
+         "MinorWitness(contract=1, delete=2, iso=IsoCertificate(mapping=(1, 0)))"),
+        (LonglineStep("dense-contraction"), "LonglineStep(kind='dense-contraction', line=None)"),
+        (SpikeWitness("additive", 5, (1, 1), 3, 4),
+         "SpikeWitness(group='additive', q=5, alphas=(1, 1), beta1=3, beta2=4)"),
+        (ClassSpec(line_ell=9),
+         "ClassSpec(line_ell=9, spike_ranks=frozenset(), swirl_ranks=frozenset())"),
+        (CorpusCaps(), "CorpusCaps(max_ground=64, max_rank=8)"),
+    ]
+    for rec, text in frozen:
+        assert repr(rec) == text
+        twin = eval(text)
+        assert twin == rec and hash(twin) == hash(rec) and twin is not rec
+        assert pickle.loads(pickle.dumps(rec)) == rec
+        first = text.split("(", 1)[1].split("=", 1)[0]
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{first}'"):
+            setattr(rec, first, None)
+    assert hash(iso) == hash(((1, 0),))
+    assert iso != (1, 0) and iso != LonglineStep((1, 0))
+    assert LonglineStep("x") != LonglineStep("x", 3)
+    assert CorpusCaps(max_rank=3) == CorpusCaps(64, 3) != CorpusCaps()
+
+    # ClassSpec coerces rank collections to frozensets and validates them
+    spec = ClassSpec(10, [5, 5])
+    assert spec.spike_ranks == frozenset({5}) and spec.exclusions() == [("line", 12), ("spike", 5)]
+    assert spec == ClassSpec(line_ell=10, spike_ranks=frozenset({5}))
+    for bad in ({}, {"line_ell": 1}, {"swirl_ranks": {2}}):
+        with pytest.raises(ValueError):
+            ClassSpec(**bad)
+
+    # NamedMatroid: its own repr, field equality, a fresh meta dict each time
+    m = uniform(2, 4).matroid
+    a, b = NamedMatroid(m, "U(2,4)", "r"), NamedMatroid(m, "U(2,4)", "r")
+    assert repr(a) == "<NamedMatroid U(2,4) n=4>" and a.n == 4
+    assert a == b and a.meta == {} and a.meta is not b.meta
+    assert a != NamedMatroid(m, "U(2,4)", "r", {"k": 1})
+    with pytest.raises(TypeError):
+        hash(a)  # meta is a dict
+
+    # mutable reports: assignable, unhashable, fresh list and dict defaults
+    rep = DenseRestrictionReport(7)
+    assert repr(rep) == ("DenseRestrictionReport(restriction=7, trace=[], final=None, "
+                         "final_rank=0, final_dense=False, hypothesis_holds=False)")
+    assert rep.trace is not DenseRestrictionReport(7).trace
+    rep.trace.append((1, "cocircuit"))
+    rep.final_rank = 2
+    assert rep != DenseRestrictionReport(7)
+    base = BaseReport(9, True, {}, [])
+    assert repr(base) == "BaseReport(base=9, certified=True, blocking={}, gaps=[])"
+    assert base == BaseReport(base=9, certified=True, blocking={}, gaps=[])
+    suite = SuiteReport("kung", 0, True, [], 5)
+    assert suite.meta == {} and suite.meta is not SuiteReport("kung", 0, True, [], 5).meta
+    for rec in (rep, base, suite):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(rec)
+
+    # constructor signatures: positional or keyword, required fields enforced
+    with pytest.raises(TypeError, match="missing"):
+        MinorWitness(1, 2)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        LonglineStep("x", width=3)
+    with pytest.raises(TypeError, match="multiple values"):
+        LonglineStep("x", kind="y")
+    with pytest.raises(TypeError, match="takes .*arguments"):
+        LonglineStep("x", 1, 2)
