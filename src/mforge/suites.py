@@ -47,15 +47,17 @@ def _ok(**extra) -> dict:
 def _randrange_values(rng: random.Random, q: int, count: int) -> list[int]:
     """The next count values of rng.randrange(q), from few calls into rng.
 
-    randrange(q) keeps the top k = q.bit_length() bits of one 32-bit word of
-    the generator and draws again while they are q or more; getrandbits(32 w)
-    returns the next w words, the first in the lowest 32 bits.  So the words'
-    top bits, less the values of q or more, are the same stream.
+    For q < 2^32, randrange(q) keeps the top k = q.bit_length() bits of one
+    32-bit word of the generator and draws again while they are q or more;
+    getrandbits(32 w) returns the next w words, the first in the lowest 32
+    bits.  So the words' top bits, less the values of q or more, are the
+    same stream.
     """
-    shift = 32 - q.bit_length()
+    k = q.bit_length()
+    shift = 32 - k
     out: list[int] = []
     while len(out) < count:
-        words = ((count - len(out)) << (32 - shift)) // q + 8
+        words = ((count - len(out)) << k) // q + 8  # expected need, plus slack
         packed = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
         out += [v for w in struct.unpack(f"<{words}I", packed) if (v := w >> shift) < q]
     del out[count:]
