@@ -17,12 +17,11 @@ parallel connection) that compute rank through their parent's oracle.
 
 Closure is a backend kernel like rank: Matroid.closure validates and
 memoizes, then calls _closure_mask, whose base version tests each element
-with a rank query; a dual keeps that definition, and so does a LinearMatroid
-over a field of more than 3 elements.  Over GF(2) or GF(3) one elimination
-of X's points answers instead (the pivots span_rank leaves), and the other
-backends and views are exact too, with Xi the trace of X on side i, p the
-basepoint of a parallel connection or the new element of a principal
-extension on the flat F, and X' = X - p:
+with a rank query; only a dual keeps that definition.  A LinearMatroid over
+any field answers with one elimination of X's points (the pivots span_rank
+leaves), and the other backends and views are exact too, with Xi the trace
+of X on side i, p the basepoint of a parallel connection or the new element
+of a principal extension on the flat F, and X' = X - p:
 
   bases                 cl(X) = E minus the union of B - X over the
                         bases B with |B & X| = r(X)
@@ -387,7 +386,7 @@ def reduce_vector(gf: GF, pivots: list, v):
 
 
 def push_pivot(gf: GF, pivots: list, v) -> bool:
-    """Reduce v and, if it is nonzero, append it as a normalized pivot.
+    """Reduce v and, if it is nonzero, append (lowest position, _point key).
 
     Returns whether v was independent of the pivots already present.
     """
@@ -396,7 +395,7 @@ def push_pivot(gf: GF, pivots: list, v) -> bool:
     if nz is None:
         return False
     ix = gf.inv(v[nz])
-    pivots.append((nz, [gf.mul(ix, x) for x in v]))
+    pivots.append((nz, tuple(gf.mul(ix, x) for x in v)))
     return True
 
 
@@ -429,7 +428,7 @@ class LinearMatroid(Matroid):
         self.field = field
         self.columns = cols
         self.dim = len(cols[0]) if cols else 0
-        pivots: list[tuple[int, list[int]]] = []
+        pivots: list[tuple[int, tuple[int, ...]]] = []
         for c in cols:
             if len(pivots) == self.dim:
                 break
@@ -453,19 +452,17 @@ class LinearMatroid(Matroid):
         return span_rank(self.field, points, self._full_rank)
 
     def _closure_mask(self, mask: int) -> int:
-        """cl(X) by one elimination over GF(2) and GF(3).
+        """cl(X) by one elimination of X's points, over every field.
 
-        span_rank leaves r echelon pivots of X's points.  The closure is X,
-        the loops and the columns on the points of their span: looked up
-        from the span's (q^r - 1)/(q - 1) points when that is no more than
-        the r pivot steps per point of reducing every point of the matroid
-        against the pivots, and otherwise found by that reduction, which
-        keeps high-rank spans of few points polynomial.  Over larger fields
-        the rank scan stays faster.
+        span_rank leaves r pivots of X's points, each (lowest position,
+        point key).  The closure is X, the loops and the columns on the
+        points of their span: looked up from the span's (q^r - 1)/(q - 1)
+        points when that is no more than the r pivot steps per point of
+        reducing every point of the matroid against the pivots, and
+        otherwise found by that reduction, which keeps high-rank spans of
+        few points polynomial.
         """
         gf = self.field
-        if gf.q > 3:
-            return super()._closure_mask(mask)
         pivots: list = []
         points = map(self.points.__getitem__, _iter_bits(mask & ~self._loops))
         r = span_rank(gf, points, self._full_rank, pivots)
@@ -474,9 +471,8 @@ class LinearMatroid(Matroid):
         out = mask | self._loops
         on_point = self._on_point
         if (gf.q**r - 1) // (gf.q - 1) <= len(on_point) * r:
-            # ascending lowest bits make every point of the span a key
-            pivots.sort()
-            rows = [pv[1] for pv in pivots] if gf.q == 2 else [pv[1:] for pv in pivots]
+            # ascending lowest positions make every point of the span a key
+            rows = [key for _, key in sorted(pivots)]
             for p in _subspace_points(gf, rows):
                 out |= on_point.get(p, 0)
         else:
@@ -507,7 +503,7 @@ class LinearMatroid(Matroid):
         """Materialized contraction: quotient coordinates on E - contract."""
         cmask = self.as_mask(contract)
         gf = self.field
-        pivots: list[tuple[int, list[int]]] = []
+        pivots: list[tuple[int, tuple[int, ...]]] = []
         for e in bits(cmask):
             push_pivot(gf, pivots, self.columns[e])
         pivot_rows = {row for row, _ in pivots}
@@ -593,12 +589,13 @@ def span_rank(gf: GF, vectors, limit: int, pivots: list | None = None) -> int:
     Each vector is reduced against the pivots in list order, the pivot rule
     of reduce_vector, and a nonzero residue is appended as a new pivot.
     Given pivots, the reduction starts from them and they receive the new
-    ones, so the result counts them too.  Over GF(2) and GF(3) the vectors
-    are _point keys and pivots are (lowest bit, row): over GF(2) a vector
-    is reduced by XOR; over GF(3), where a pivot is stored with 1 at its
-    lowest bit, by adding (_add3) the negated pivot, its planes swapped,
-    when the vector holds 1 there and the pivot when it holds 2.  Otherwise
-    the vectors are sequences of field indices, reduced by push_pivot.
+    ones, so the result counts them too.  Every field keeps a pivot as
+    (lowest position, key), key the _point key of a residue whose lowest
+    nonzero entry is a 1 there; sorted, the keys are echelon rows.  Over
+    GF(2) a vector (a key) is reduced by XOR; over GF(3) by adding (_add3)
+    the negated pivot, its planes swapped, when it holds 1 at the pivot's
+    lowest bit and the pivot when it holds 2.  Otherwise the vectors are
+    sequences of field indices, reduced by push_pivot.
     """
     if pivots is None:
         pivots = []
@@ -614,7 +611,7 @@ def span_rank(gf: GF, vectors, limit: int, pivots: list | None = None) -> int:
         return len(pivots)
     if gf.q == 3:
         for o, t in vectors:
-            for low, p1, p2 in pivots:
+            for low, (p1, p2) in pivots:
                 if o & low:
                     o, t = _add3(o, t, p2, p1)
                 elif t & low:
@@ -624,7 +621,7 @@ def span_rank(gf: GF, vectors, limit: int, pivots: list | None = None) -> int:
                 low = nz & -nz
                 if t & low:
                     o, t = t, o
-                pivots.append((low, o, t))
+                pivots.append((low, (o, t)))
                 if len(pivots) == limit:
                     break
         return len(pivots)
@@ -639,7 +636,7 @@ def _subspace_points(gf: GF, rows) -> list:
 
     Rows and points are _point keys; each row's lowest nonzero entry is 1,
     at a position below the lowest nonzero entry of every later row (RREF
-    rows, or span_rank's pivots sorted by lowest bit).  Over GF(2) each
+    rows, or span_rank's pivot keys sorted by position).  Over GF(2) each
     point is one XOR away from a point listed before it.  Otherwise a point
     is the combination whose first nonzero coefficient is 1; the echelon
     form makes that combination already normalized.  Over GF(3) the span
@@ -723,8 +720,7 @@ class BasesMatroid(Matroid):
         if any(b >> n for b in bs):
             raise ValueError("basis outside ground set")
         self.bases = bs
-        self.bases_set = set(bs)
-        self.r = r
+        self._full_rank = r
         if verify:
             if len(bs) > BASES_VERIFY_CAP:
                 raise SizeCapError(
@@ -737,7 +733,7 @@ class BasesMatroid(Matroid):
         exchange fails at x exactly when b2 misses avoid = swaps + x; b1 itself
         never does.  Failures are found in order of b1, then b2, then x."""
         full = (1 << self.n) - 1
-        bases, bases_set = self.bases, self.bases_set
+        bases, bases_set = self.bases, set(self.bases)
         for b1 in bases:
             outside = [1 << y for y in bits(full ^ b1)]
             avoids = []
@@ -757,7 +753,7 @@ class BasesMatroid(Matroid):
                         )
 
     def _rank_mask(self, mask: int) -> int:
-        target = min(mask.bit_count(), self.r)
+        target = min(mask.bit_count(), self._full_rank)
         best = 0
         for b in self.bases:
             c = (b & mask).bit_count()
@@ -1010,14 +1006,14 @@ class ParallelConnectionView(Matroid):
 # -- helpers ------------------------------------------------------------------------
 
 
-def materialize_bases(m: Matroid, max_bases: int = BASES_VERIFY_CAP) -> BasesMatroid:
-    """Explicit-bases copy of any matroid (for cross-checking views)."""
+def materialize_bases(m: Matroid) -> BasesMatroid:
+    """Explicit-bases copy of any matroid, of at most BASES_VERIFY_CAP bases."""
     r = m.full_rank
     if math.comb(m.n, r) > 2_000_000:
         raise SizeCapError("too many candidate bases to enumerate")
     bases = [mask for mask in ksubset_masks(m.n, r) if m.rank(mask) == r]
-    if len(bases) > max_bases:
-        raise SizeCapError(f"{len(bases)} bases exceed cap {max_bases}")
+    if len(bases) > BASES_VERIFY_CAP:
+        raise SizeCapError(f"{len(bases)} bases exceed cap {BASES_VERIFY_CAP}")
     return BasesMatroid(m.n, bases, verify=False)
 
 

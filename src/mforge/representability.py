@@ -210,8 +210,8 @@ class ClassSpec(FrozenRecord):
             raise ValueError("at least one exclusion is required")
         if self.line_ell is not None and not 2 <= self.line_ell <= 10**6:
             raise ValueError("line parameter outside [2, 10^6]")
-        if any(k < 3 for k in self.spike_ranks | self.swirl_ranks):
-            raise ValueError("spike/swirl ranks start at 3")
+        if any(not 3 <= k <= 10**6 for k in self.spike_ranks | self.swirl_ranks):
+            raise ValueError("spike/swirl ranks outside [3, 10^6]")
 
     def exclusions(self) -> list[tuple[str, int]]:
         out = []

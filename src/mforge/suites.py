@@ -138,7 +138,7 @@ def _check_axioms(m) -> dict:
 def _check_materialize(m) -> dict:
     from .matroid import materialize_bases
 
-    bm = materialize_bases(m, max_bases=200000)
+    bm = materialize_bases(m)
     bad = _ranks_agree_everywhere(m, bm)
     if bad is None:
         return _ok(bases=len(bm.bases))

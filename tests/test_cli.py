@@ -113,6 +113,14 @@ def test_eventual_base_command(capsys):
     assert json.loads(out)["gaps"] == ["Lcirc(4)"]
 
 
+@pytest.mark.parametrize("flag", ["--spikes", "--swirls"])
+def test_eventual_base_refuses_ranks_above_the_bound(flag, capsys):
+    # refused before any membership check runs, like --ell above 10^6
+    code, out, err = run(capsys, "eventual-base", flag, "1000001")
+    assert code == 2 and out == ""
+    assert "outside [3, 10^6]" in err
+
+
 def test_verify_report_format(tmp_path, capsys):
     out_path = tmp_path / "report.jsonl"
     code, _, _ = run(capsys, "verify", "eventual-base", "--out", str(out_path))

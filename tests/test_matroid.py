@@ -109,7 +109,7 @@ def test_generic_vs_echelon_flat_enumeration():
     # DFS must produce the same flats
     lin = pg(3, 3).matroid
     assert isinstance(lin, LinearMatroid)
-    bm = materialize_bases(lin, max_bases=5000)
+    bm = materialize_bases(lin)
     for k in range(4):
         assert sorted(lin.flats_of_rank(k)) == sorted(bm.flats_of_rank(k))
 
@@ -290,8 +290,8 @@ def test_point_table_property(m):
 @st.composite
 def _leaves(draw, min_n=0, max_n=8):
     """A builder of fresh copies of one leaf: a LinearMatroid over GF(2),
-    GF(3) or GF(5), or its materialize_bases copy."""
-    lin = draw(_linear_matroids(fields=(2, 3, 5), min_n=min_n, max_n=max_n))
+    GF(3), GF(4), GF(5) or GF(9), or its materialize_bases copy."""
+    lin = draw(_linear_matroids(fields=(2, 3, 4, 5, 9), min_n=min_n, max_n=max_n))
     if draw(st.booleans()):
         return lambda: LinearMatroid(lin.field, lin.columns)
     return lambda: materialize_bases(LinearMatroid(lin.field, lin.columns))
@@ -391,6 +391,9 @@ def _twins(q, columns):
 @example(tuple(density_witness(2, "Llambda", 2).matroid for _ in range(2)))
 # a span looked up from pivots found in descending order of lowest bit
 @example(_twins(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1), (1, 0, 2)]))
+# the same over GF(4): cl({2, 3}) holds 4 and 5, whose points are keys only
+# when the pivots (lowest position 2, then 0) are sorted before the lookup
+@example(_twins(4, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0), (1, 0, 2), (1, 0, 3)]))
 # a span too large to look up (63 points against 8 points of rank 6), with a
 # point outside it listed before one inside it
 @example(_twins(2, [tuple(int(i == j) for i in range(7)) for j in range(7)]
@@ -414,6 +417,26 @@ def test_closure_kernel_differential(pair):
     for bad in (-1, 1 << m.n):
         with pytest.raises(ValueError):
             m.closure(bad)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 37])
+def test_closure_by_elimination_over_every_field(q, monkeypatch):
+    # closure, loops and is_flat of a LinearMatroid never reach the rank
+    # scan; its answers, taken first on separate copies, are the reference.
+    # Six columns in GF(37)^3 close rank-2 sets by reducing every point: a
+    # rank-2 span's 38 points outnumber 2 pivot steps for each of at most 6.
+    rng = random.Random(q)
+    shapes = [(3, 6)] if q == 37 else [(2, 6), (3, 8), (4, 8)]
+    cases = []
+    for dim, n in shapes:
+        m = _random_linear(rng, q, dim, n)
+        cases.append((m.columns, [Matroid._closure_mask(m, x) for x in range(1 << n)]))
+    monkeypatch.setattr(Matroid, "_closure_mask", _refuse)
+    for columns, want in cases:
+        m = LinearMatroid(field_new(q), columns)
+        assert m.loops() == want[0]
+        assert [m.closure(x) for x in range(1 << m.n)] == want
+        assert [m.is_flat(x) for x in range(1 << m.n)] == [c == x for x, c in enumerate(want)]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -483,7 +506,7 @@ def _check_view_flats(m):
 
 
 def _refuse(*args):
-    raise AssertionError("flat search that should not run")
+    raise AssertionError("a search or scan that should not run")
 
 
 @pytest.mark.parametrize("k", [4, 5, 6])
@@ -743,8 +766,9 @@ def test_materialize_bases_roundtrip():
     bm = materialize_bases(spike)
     for x in range(1 << spike.n):
         assert bm.rank(x) == spike.rank(x)
-    with pytest.raises(SizeCapError):
-        materialize_bases(uniform(16, 20).matroid, max_bases=10)
+    # U(7,16) has C(16,7) = 11,440 bases, above BASES_VERIFY_CAP
+    with pytest.raises(SizeCapError, match="exceed cap"):
+        materialize_bases(uniform(7, 16).matroid)
 
 
 def test_circuits_cap():

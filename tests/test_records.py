@@ -47,9 +47,12 @@ def test_result_records_behave_like_the_dataclasses_they_replace():
     spec = ClassSpec(10, [5, 5])
     assert spec.spike_ranks == frozenset({5}) and spec.exclusions() == [("line", 12), ("spike", 5)]
     assert spec == ClassSpec(line_ell=10, spike_ranks=frozenset({5}))
-    for bad in ({}, {"line_ell": 1}, {"swirl_ranks": {2}}):
+    for bad in ({}, {"line_ell": 1}, {"swirl_ranks": {2}}, {"spike_ranks": {10**6 + 1}}):
         with pytest.raises(ValueError):
             ClassSpec(**bad)
+    # the top of the bound is accepted (constructed only, eventual_base not run)
+    top = ClassSpec(spike_ranks={10**6}, swirl_ranks={10**6})
+    assert top.exclusions() == [("spike", 10**6), ("swirl", 10**6)]
 
     # NamedMatroid: its own repr, field equality, a fresh meta dict each time
     m = uniform(2, 4).matroid
