@@ -25,9 +25,10 @@ _SUBMODULE = {
                           "free_swirl", "parallel_connection", "two_sum", "two_sum_chain",
                           "principal_geometry_extension", "density_witness"),
         "minors": ("IsoCertificate", "MinorWitness", "LonglineStep", "DenseRestrictionReport",
-                   "are_isomorphic", "iso_is_valid", "has_minor", "longest_line_minor",
-                   "longline_step", "dense_restriction", "growth_hypothesis_holds",
-                   "weighted_density_exceeds", "unavoidable_minor_of_extension"),
+                   "are_isomorphic", "iso_is_valid", "has_minor", "minor_is_valid",
+                   "longest_line_minor", "longline_step", "dense_restriction",
+                   "growth_hypothesis_holds", "weighted_density_exceeds",
+                   "unavoidable_minor_of_extension"),
         "representability": ("SpikeWitness", "spike_rep_predicate",
                              "swirl_rep_predicate", "spike_witness_search",
                              "swirl_witness_search", "witness_is_valid",

@@ -156,7 +156,7 @@ def _cmd_density(args) -> int:
 
 def _cmd_has_minor(args) -> int:
     from .matroid import bits
-    from .minors import has_minor
+    from .minors import has_minor, minor_is_valid
     from .serialize import load_path
 
     host = load_path(args.host)
@@ -165,6 +165,8 @@ def _cmd_has_minor(args) -> int:
     if wit is None:
         print(json.dumps({"found": False}))
         return 1
+    if not minor_is_valid(host, target, wit):
+        raise MforgeError("internal: minor witness failed re-verification")
     doc = {
         "found": True,
         "contract": sorted(bits(wit.contract)),

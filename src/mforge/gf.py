@@ -52,14 +52,20 @@ def prime_power(q: int) -> tuple[int, int] | None:
     return (q, 1)  # q has no divisor <= sqrt(q), hence prime
 
 
-def prime_powers_upto(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
+def prime_sieve(n: int) -> bytearray:
+    """Sieve of Eratosthenes: sieve[k] is 1 exactly when k is prime, 0 <= k <= n."""
+    sieve = bytearray([1]) * max(n + 1, 2)
     sieve[0:2] = b"\x00\x00"
     for p in range(2, int(n**0.5) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+    return sieve
+
+
+def prime_powers_upto(n: int) -> list[int]:
+    if n < 2:
+        return []
+    sieve = prime_sieve(n)
     out = []
     for p in range(2, n + 1):
         if sieve[p]:

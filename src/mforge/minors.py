@@ -2,9 +2,19 @@
 
 Witness discipline: every search that claims success returns a certificate
 (an element bijection, or contract/delete sets plus a bijection) that can be
-re-verified from scratch with nothing but rank queries.  Searches enumerate
-candidates in a fixed canonical order (subsets ascending by bitmask, sizes
-ascending) so results are reproducible run to run.
+re-verified from scratch with nothing but rank queries (iso_is_valid,
+minor_is_valid).  Searches enumerate candidates in a fixed canonical order
+(subsets ascending by bitmask, sizes ascending) so results are reproducible
+run to run.
+
+Isomorphism is a backtracking search over per-element fingerprints (parallel
+class size and line profile).  Spikes and swirls have fingerprints that do
+not tell elements apart, so the first time the search backtracks it
+escalates to pair colours: the colour of (e, x) is the number of hyperplanes
+containing both, an isomorphism invariant (the individualize-and-refine
+pruning of McKay and Piperno, reduced to one invariant).  Colours only drop
+candidates that have no completion, so the first map found, and with it
+every certificate, is the one the fingerprint search alone would find.
 
 The golden-ratio-weighted comparisons used by dense_restriction are exact:
 values live in Z[phi] as integer pairs a + b*phi with phi^2 = phi + 1, and
@@ -82,6 +92,22 @@ def iso_is_valid(m: Matroid, n: Matroid, mapping) -> bool:
     return True
 
 
+def minor_is_valid(m: Matroid, n: Matroid, wit: MinorWitness) -> bool:
+    """Re-verify a claimed minor witness by independent rank queries.
+
+    C = wit.contract is independent with |C| = r(M) - r(N), C and
+    D = wit.delete are disjoint sets of M's elements, and wit.iso is an
+    isomorphism of M / C \\ D onto N (iso_is_valid).
+    """
+    c, d = wit.contract, wit.delete
+    if c < 0 or d < 0 or (c | d) >> m.n or c & d:
+        return False
+    size = c.bit_count()
+    if size != m.full_rank - n.full_rank or m.rank(c) != size:
+        return False
+    return iso_is_valid(m.minor(c, d), n, wit.iso.mapping)
+
+
 # -- isomorphism -------------------------------------------------------------------
 
 
@@ -120,7 +146,23 @@ def _fingerprints(m: Matroid):
     return fps
 
 
-def are_isomorphic(m: Matroid, n: Matroid, *, _n_prints=None) -> IsoCertificate | None:
+def _pair_colours(m: Matroid) -> list[list[int]]:
+    """colour[e][x]: the number of hyperplanes of m that contain both e and x.
+
+    An isomorphism carries hyperplanes onto hyperplanes, so it keeps every
+    pair colour, and with them each element's sorted row.
+    """
+    colour = [[0] * m.n for _ in range(m.n)]
+    for h in m.hyperplanes():
+        members = bits(h)
+        for e in members:
+            row = colour[e]
+            for x in members:
+                row[x] += 1
+    return colour
+
+
+def are_isomorphic(m: Matroid, n: Matroid, *, _n_memo=None) -> IsoCertificate | None:
     """Rank-preserving bijection, or None when provably absent.
 
     Backtracking over fingerprint-compatible images.  At each extension
@@ -131,8 +173,19 @@ def are_isomorphic(m: Matroid, n: Matroid, *, _n_prints=None) -> IsoCertificate 
     at most r elements.  Every pruning decision is the one a check of all
     prefix subsets would make, and a completed map agrees on all subsets.
 
-    _n_prints, when given, is _fingerprints(n): has_minor computes it once
-    for all of its candidates.
+    Escalation: the first time the search backtracks, it computes the pair
+    colours (_pair_colours) of both sides and starts again.  Sides whose
+    sorted colour rows differ as multisets are not isomorphic; otherwise each
+    candidate f of e needs e's row, and from then on an image f of e needs
+    colour_m[e][x] == colour_n[f][image[x]] for every mapped x before any
+    rank is checked.  Searches that never backtrack never pay for colours.
+
+    Output rule: the element order and the candidate order are the
+    fingerprint search's, and the colours only drop candidates that have no
+    completion, so the first map found is the same with or without them.
+
+    _n_memo, when given, is a dict that keeps n's fingerprints and colours
+    across calls: has_minor passes one for all of its candidates.
     """
     if m.n != n.n or m.full_rank != n.full_rank:
         return None
@@ -140,8 +193,10 @@ def are_isomorphic(m: Matroid, n: Matroid, *, _n_prints=None) -> IsoCertificate 
         raise SizeCapError(f"isomorphism search needs n <= {ISO_CAP}, got {m.n}")
     if m.n == 0:
         return IsoCertificate(())
-    fm = _fingerprints(m)
-    fn = _fingerprints(n) if _n_prints is None else _n_prints
+    n_memo = {} if _n_memo is None else _n_memo
+    if "prints" not in n_memo:
+        n_memo["prints"] = _fingerprints(n)
+    fm, fn = _fingerprints(m), n_memo["prints"]
     if sorted(fm) != sorted(fn):
         return None
     cands = [[f for f in range(n.n) if fn[f] == fm[e]] for e in range(m.n)]
@@ -152,8 +207,11 @@ def are_isomorphic(m: Matroid, n: Matroid, *, _n_prints=None) -> IsoCertificate 
     r = m.full_rank
     # mapped prefix subsets of at most max(r - 1, 0) elements, with images
     pairs: list[tuple[int, int]] = [(0, 0)]
+    colours = None  # (colour_m, colour_n) once the search has backtracked
 
-    def extend(depth: int) -> bool:
+    def extend(depth: int) -> bool | None:
+        """True once the map is complete, False when this branch is
+        exhausted, None at the first backtrack while there are no colours."""
         if depth == m.n:
             return True
         e = order[depth]
@@ -161,6 +219,10 @@ def are_isomorphic(m: Matroid, n: Matroid, *, _n_prints=None) -> IsoCertificate 
         for f in cands[e]:
             if used[f]:
                 continue
+            if colours is not None:
+                ce, cf = colours[0][e], colours[1][f]
+                if any(ce[x] != cf[image[x]] for x in order[:depth]):
+                    continue
             bf = 1 << f
             base = len(pairs)
             ok = True
@@ -174,14 +236,30 @@ def are_isomorphic(m: Matroid, n: Matroid, *, _n_prints=None) -> IsoCertificate 
             if ok:
                 image[e] = f
                 used[f] = True
-                if extend(depth + 1):
-                    return True
+                found = extend(depth + 1)
+                if found is not False:
+                    return found
+                if colours is None:
+                    return None  # the first backtrack
                 used[f] = False
                 image[e] = -1
             del pairs[base:]
         return False
 
-    if extend(0):
+    found = extend(0)
+    if found is None:
+        if "colours" not in n_memo:
+            n_memo["colours"] = _pair_colours(n)
+        colours = _pair_colours(m), n_memo["colours"]
+        rows_m, rows_n = ([sorted(row) for row in c] for c in colours)
+        if sorted(rows_m) != sorted(rows_n):
+            return None
+        cands = [[f for f in cands[e] if rows_n[f] == rows_m[e]] for e in range(m.n)]
+        image[:] = [-1] * m.n
+        used[:] = [False] * n.n
+        del pairs[1:]
+        found = extend(0)
+    if found:
         return IsoCertificate(tuple(image))
     return None
 
@@ -219,7 +297,7 @@ def has_minor(m: Matroid, n: Matroid) -> MinorWitness | None:
         raise SizeCapError(f"minor search needs |E| <= {MINOR_CAP}, got {m.n}")
     n_loops = n.loops().bit_count()
     n_eps = n.epsilon()
-    n_prints = None  # the target's fingerprints, once a candidate needs them
+    n_memo: dict = {}  # the target's fingerprints and colours, once a candidate needs them
     full = (1 << m.n) - 1
     for cmask in ksubset_masks(m.n, csize):
         if m.rank(cmask) != csize:
@@ -231,9 +309,7 @@ def has_minor(m: Matroid, n: Matroid) -> MinorWitness | None:
                 continue
             if cand.loops().bit_count() != n_loops or cand.epsilon() != n_eps:
                 continue
-            if n_prints is None:
-                n_prints = _fingerprints(n)
-            cert = are_isomorphic(cand, n, _n_prints=n_prints)
+            cert = are_isomorphic(cand, n, _n_memo=n_memo)
             if cert is not None:
                 kept_m = keep if mc is m else mc.lift_mask(keep)
                 dmask = full ^ cmask ^ kept_m

@@ -21,7 +21,7 @@ values implicitly avoid it.
 from __future__ import annotations
 
 from .errors import SizeCapError
-from .gf import GF, is_prime, prime_power, prime_powers_upto
+from .gf import GF, is_prime, prime_power, prime_powers_upto, prime_sieve
 from .matroid import LinearMatroid, Matroid
 from .records import FrozenRecord, Record
 
@@ -132,13 +132,23 @@ def spike_rep_predicate(k: int, q: int) -> bool:
     Composite means a prime power that is not prime.
     """
     _check_pred_params(k, q)
-    return not is_prime(q) or k <= q - 2
+    return _spike_rep(k, q, is_prime)
 
 
 def swirl_rep_predicate(k: int, q: int) -> bool:
     """Rank-k free swirl representable over GF(q): q-1 composite, or k <= q-3."""
     _check_pred_params(k, q)
-    return not is_prime(q - 1) or k <= q - 3
+    return _swirl_rep(k, q, is_prime)
+
+
+def _spike_rep(k: int, q: int, prime) -> bool:
+    """spike_rep_predicate on checked parameters; prime(x) tells whether x is prime."""
+    return not prime(q) or k <= q - 2
+
+
+def _swirl_rep(k: int, q: int, prime) -> bool:
+    """swirl_rep_predicate on checked parameters; prime(x) tells whether x is prime."""
+    return not prime(q - 1) or k <= q - 3
 
 
 # -- tiny linear-representability oracle -----------------------------------------------
@@ -248,8 +258,12 @@ IN, OUT, UNKNOWN = "in", "out", "unknown"
 _LAST_OUT = {"line": -2, "spike": 1, "swirl": 2}
 
 
-def _member(kind: str, param: int, q: int, cls: str) -> str:
-    """Three-valued membership; UNKNOWN is never treated as absence."""
+def _member(kind: str, param: int, q: int, cls: str, prime) -> str:
+    """Three-valued membership; UNKNOWN is never treated as absence.
+
+    q is a prime power, a spike or swirl rank is at least 3, and prime(x)
+    tells whether x is prime.
+    """
     if kind == "line":
         if cls == "L":
             return IN if param <= q + 1 else OUT
@@ -260,10 +274,10 @@ def _member(kind: str, param: int, q: int, cls: str) -> str:
         # the two-element groups admit no pair of distinct unattained targets
         return OUT if cls == "L" else UNKNOWN
     if kind == "spike":
-        return IN if cls != "L" or spike_rep_predicate(param, q) else OUT
+        return IN if cls != "L" or _spike_rep(param, q, prime) else OUT
     if cls == "Llambda":
         return IN if param >= 4 else UNKNOWN
-    in_l = IN if swirl_rep_predicate(param, q) else OUT
+    in_l = IN if _swirl_rep(param, q, prime) else OUT
     if cls == "Lcirc" and param < 4 and in_l == OUT:
         return UNKNOWN  # the iff transfer rule is only stated from rank 4 up
     return in_l
@@ -289,7 +303,8 @@ def membership_flags(kind: str, param: int, q: int) -> dict[str, bool]:
         _check_pred_params(param, q)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return {f"in_{c}": _member(kind, param, q, c) == IN for c in ("L", "Lcirc", "Llambda")}
+    return {f"in_{c}": _member(kind, param, q, c, is_prime) == IN
+            for c in ("L", "Lcirc", "Llambda")}
 
 
 def eventual_base(spec: ClassSpec) -> BaseReport:
@@ -305,10 +320,13 @@ def eventual_base(spec: ClassSpec) -> BaseReport:
     """
     excl = spec.exclusions()
     last_out = [param + _LAST_OUT[kind] for kind, param in excl]
+    first, top = min(last_out), max(last_out) + 1
+    powers = prime_powers_upto(top)
+    prime = prime_sieve(top).__getitem__  # one sieve for every primality test below
     eligible = [
         q
-        for q in prime_powers_upto(min(last_out))
-        if all(_member(k, p, q, "L") == OUT for k, p in excl)
+        for q in powers
+        if q <= first and all(_member(k, p, q, "L", prime) == OUT for k, p in excl)
     ]
     if not eligible:
         return BaseReport(None, False, {}, ["no eligible prime power"])
@@ -316,16 +334,16 @@ def eventual_base(spec: ClassSpec) -> BaseReport:
 
     blocking: dict = {}
     gaps: list = []
-    for qq in prime_powers_upto(max(last_out) + 1):
+    for qq in powers:
         if qq <= base:
             continue
-        hit = next((d for d in excl if _member(*d, qq, "L") == IN), None)
+        hit = next((d for d in excl if _member(*d, qq, "L", prime) == IN), None)
         key = f"L({qq})"
         blocking[key] = _descr(*hit) if hit else None
         if hit is None:
             gaps.append(key)
     for cls in ("Lcirc", "Llambda"):
-        hit = next((d for d in excl if _member(*d, base, cls) == IN), None)
+        hit = next((d for d in excl if _member(*d, base, cls, prime) == IN), None)
         key = f"{cls}({base})"
         blocking[key] = _descr(*hit) if hit else None
         if hit is None:

@@ -6,10 +6,12 @@ wall-clock budget.  Budgets are generous on purpose: they catch
 complexity regressions, not scheduler noise.  Every suite report must
 also match, case line for case line, the seed-0 reference reports that
 the benchmark checks against (perfbench/reference/seed0.json).  The suites
-whose corpus depends on the seed are also pinned at a second seed.
+whose corpus depends on the seed are also pinned at a second seed, and the
+benchmark's iso/has-minor stream (perfbench/gen.py) at two seeds.
 """
 import hashlib
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -166,3 +168,38 @@ def test_seed_dependent_reports_at_a_second_seed():
         if hashlib.sha256("\n".join(lines).encode()).hexdigest() != want:
             drifted.append(suite)
     assert not drifted, f"seed-23 case lines differ from the pinned digests: {', '.join(drifted)}"
+
+
+# SHA-256 of the "\n"-joined [name, exit code, stdout] lines of the
+# perfbench/gen.py iso/has-minor stream, each query run through cli.main.
+_STREAM_DIGESTS = {
+    0: "f406a3e43d945e4cb32ace409120b324f9f7d59b2ac63032b3e145bef38b6e35",
+    11: "6082ea200f7158f3a7a14e925ccf2ac76a3d4a819088054396408d9d04ecc3bd",
+}
+
+
+def _stream_digest(seed: int, workdir: Path, capsys) -> str:
+    from mforge import cli
+
+    bench = str(_REFERENCE.parent.parent)
+    saved_path, saved_flag = list(sys.path), sys.dont_write_bytecode
+    sys.path.insert(0, bench)
+    sys.dont_write_bytecode = True  # the generator's directory stays as it is
+    try:
+        import gen
+    finally:
+        sys.path[:], sys.dont_write_bytecode = saved_path, saved_flag
+    rows = []
+    for query in gen.search_queries(seed, str(workdir)):
+        code = cli.main([query.command, *query.files])
+        rows.append(json.dumps([query.name, code, capsys.readouterr().out]))
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+def test_search_stream_outputs_at_two_seeds(tmp_path, capsys):
+    got = {}
+    for seed in _STREAM_DIGESTS:
+        workdir = tmp_path / f"seed{seed}"
+        workdir.mkdir()
+        got[seed] = _stream_digest(seed, workdir, capsys)
+    assert got == _STREAM_DIGESTS

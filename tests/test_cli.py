@@ -90,6 +90,46 @@ def test_has_minor_and_iso(tmp_path, capsys):
     assert json.loads(out)["isomorphic"] is True
 
 
+def _forged_minor_witnesses():
+    """A GF(3) host (element 0 a loop), a target with one parallel pair, the
+    witness has_minor finds, and one forgery of each kind."""
+    from mforge.minors import IsoCertificate, MinorWitness
+
+    gf3 = mforge.field_new(3)
+    host = mforge.LinearMatroid(gf3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                      (1, 1, 0), (2, 2, 0), (1, 2, 0), (1, 0, 1)])
+    target = mforge.LinearMatroid(gf3, [(1, 0), (0, 1), (1, 1), (2, 2)])
+    wit = mforge.has_minor(host, target)
+    assert wit == MinorWitness(0b100, 0b1100001, IsoCertificate((2, 0, 3, 1)))
+    forged = {
+        # contracting the loop deletes it, and deleting 3, 6 and 7 leaves the
+        # plane z = 0, a copy of the target: only the dependent C is wrong
+        "dependent-contract": MinorWitness(0b1, 0b11001000, IsoCertificate((0, 1, 2, 3))),
+        "overlap": MinorWitness(wit.contract, wit.delete | wit.contract, wit.iso),
+        # the images of one element of a parallel pair and of a free one swapped
+        "wrong-mapping": MinorWitness(wit.contract, wit.delete, IsoCertificate((0, 2, 3, 1))),
+    }
+    return host, target, wit, forged
+
+
+@pytest.mark.parametrize("kind", ["dependent-contract", "overlap", "wrong-mapping"])
+def test_has_minor_rechecks_its_witness(kind, tmp_path, capsys, monkeypatch):
+    from mforge import minors
+
+    host, target, wit, forged = _forged_minor_witnesses()
+    assert minors.minor_is_valid(host, target, wit)
+    assert not minors.minor_is_valid(host, target, forged[kind])
+    host_path, target_path = tmp_path / "host.json", tmp_path / "target.json"
+    save_path(host, str(host_path))
+    save_path(target, str(target_path))
+    code, out, _ = run(capsys, "has-minor", str(host_path), str(target_path))
+    assert code == 0 and json.loads(out)["mapping"] == [2, 0, 3, 1]
+    monkeypatch.setattr(minors, "has_minor", lambda m, n: forged[kind])
+    code, out, err = run(capsys, "has-minor", str(host_path), str(target_path))
+    assert (code, out) == (2, "")
+    assert err == "mforge: internal: minor witness failed re-verification\n"
+
+
 def test_rep_command(capsys):
     code, out, _ = run(capsys, "rep", "spike", "--k", "3", "--q", "4")
     assert code == 0

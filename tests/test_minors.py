@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mforge import (
     BasesMatroid,
@@ -268,6 +270,111 @@ def test_are_isomorphic_matches_all_subsets_search():
     spike, swirl = free_spike(4).matroid, free_swirl(4).matroid
     assert are_isomorphic(spike, swirl) is None
     assert _all_subsets_iso(spike, swirl) is None
+
+
+def _fingerprint_search(m, n):
+    """are_isomorphic's search without pair colours: the reference for the
+    maps it returns, since colours may only drop candidates that have no
+    completion."""
+    if m.n != n.n or m.full_rank != n.full_rank:
+        return None
+    fm, fn = _fingerprints(m), _fingerprints(n)
+    if sorted(fm) != sorted(fn):
+        return None
+    cands = [[f for f in range(n.n) if fn[f] == fm[e]] for e in range(m.n)]
+    order = sorted(range(m.n), key=lambda e: len(cands[e]))
+    image = [-1] * m.n
+    used = [False] * n.n
+    r = m.full_rank
+    pairs = [(0, 0)]
+
+    def extend(depth):
+        if depth == m.n:
+            return True
+        e = order[depth]
+        for f in cands[e]:
+            if used[f]:
+                continue
+            base = len(pairs)
+            ok = True
+            for i in range(base):
+                mm, nn = pairs[i]
+                if m.rank(mm | 1 << e) != n.rank(nn | 1 << f):
+                    ok = False
+                    break
+                if mm.bit_count() < r - 1:
+                    pairs.append((mm | 1 << e, nn | 1 << f))
+            if ok:
+                image[e], used[f] = f, True
+                if extend(depth + 1):
+                    return True
+                image[e], used[f] = -1, False
+            del pairs[base:]
+        return False
+
+    return tuple(image) if extend(0) else None
+
+
+def _relabelled_copies(m, rng, count):
+    """count pairs of bases copies of m, each with its ground shuffled by rng."""
+    bases = materialize_bases(m).bases
+    out = []
+    for _ in range(count):
+        pair = []
+        for _ in range(2):
+            perm = list(range(m.n))
+            rng.shuffle(perm)
+            pair.append(BasesMatroid(m.n, [mask_of(perm[e] for e in bits(b)) for b in bases],
+                                     verify=False))
+        out.append(pair)
+    return out
+
+
+@pytest.mark.parametrize("family", [free_spike, free_swirl])
+@pytest.mark.parametrize("k,count,checked", [(4, 3, 3), (5, 3, 3), (6, 2, 1)])
+def test_spike_and_swirl_relabellings(family, k, count, checked):
+    # swirl and spike fingerprints do not tell elements apart, so these
+    # searches backtrack and prune by pair colours; the reference search
+    # takes up to seconds per relabelling at k = 6, so it checks one there
+    pairs = _relabelled_copies(family(k).matroid, random.Random(k), count)
+    for i, (a, b) in enumerate(pairs):
+        cert = are_isomorphic(a, b)
+        assert cert is not None and iso_is_valid(a, b, cert.mapping)
+        if i < checked:
+            assert cert.mapping == _fingerprint_search(a, b)
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_spike_is_not_a_swirl(k):
+    # Spike(k) has C(k,2) four-element circuits, Swirl(k) only k
+    spike, swirl = free_spike(k).matroid, free_swirl(k).matroid
+    assert are_isomorphic(spike, swirl) is None
+    (a, _), = _relabelled_copies(spike, random.Random(k), 1)
+    assert are_isomorphic(a, swirl) is None
+    assert are_isomorphic(swirl, a) is None
+
+
+@st.composite
+def _relabelled_pair(draw):
+    """Two relabellings of one random GF(q) matroid of at most 9 elements,
+    both as LinearMatroid or both as BasesMatroid."""
+    gf = field_new(draw(st.sampled_from((2, 3, 4, 5))))
+    dim = draw(st.integers(1, 4))
+    column = st.tuples(*[st.integers(0, gf.q - 1)] * dim)
+    m = LinearMatroid(gf, draw(st.lists(column, max_size=9)))
+    if draw(st.booleans()):
+        m = materialize_bases(m)
+    perms = [draw(st.permutations(range(m.n))) for _ in range(2)]
+    return tuple(_relabel(m, perm) for perm in perms)
+
+
+@settings(max_examples=120)
+@given(_relabelled_pair())
+def test_are_isomorphic_random_relabellings(pair):
+    a, b = pair
+    cert = are_isomorphic(a, b)
+    assert cert is not None and iso_is_valid(a, b, cert.mapping)
+    assert cert.mapping == _fingerprint_search(a, b)
 
 
 def test_are_isomorphic_with_loops():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from itertools import combinations_with_replacement
 
 import pytest
@@ -238,3 +240,27 @@ def test_eventual_base_line_only_blockers():
     rep = eventual_base(ClassSpec(line_ell=9))
     assert rep.blocking["Lcirc(9)"] == "U(2,11)"
     assert rep.blocking["Llambda(9)"] == "U(2,11)"
+
+
+def _eventual_base_grid():
+    for ell in (None, 2, 3, 5, 9, 30):
+        for spikes in ((), (3,), (4, 6), (11,), (50,)):
+            for swirls in ((), (3,), (4,), (5, 8), (13,), (60,)):
+                if ell is not None or spikes or swirls:
+                    yield ClassSpec(ell, spikes, swirls)
+    yield ClassSpec(None, (2000,), ())
+    yield ClassSpec(None, (), (5000,))
+    yield ClassSpec(1000, (997,), (1001,))
+
+
+def test_eventual_base_reports_over_a_grid():
+    # SHA-256 of the report lines over 182 specs as the public predicates,
+    # with their per-q primality tests, decide every membership
+    lines = []
+    for spec in _eventual_base_grid():
+        rep = eventual_base(spec)
+        lines.append(json.dumps([spec.line_ell, sorted(spec.spike_ranks), sorted(spec.swirl_ranks),
+                                 rep.base, rep.certified, rep.blocking, rep.gaps], sort_keys=True))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (
+        182, "19e1adc6e37ac1cbb044fc570903745c1e21ec93c78df8cd0c07393b3dd7df5c")
