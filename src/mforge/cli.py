@@ -194,19 +194,9 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_rep(args) -> int:
-    from .representability import (
-        spike_rep_predicate,
-        spike_witness_search,
-        swirl_rep_predicate,
-        swirl_witness_search,
-    )
+    from .representability import family_rep
 
-    if args.family == "spike":
-        pred = spike_rep_predicate(args.k, args.q)
-        wit = spike_witness_search(args.k, args.q)
-    else:
-        pred = swirl_rep_predicate(args.k, args.q)
-        wit = swirl_witness_search(args.k, args.q)
+    pred, wit = family_rep(args.family, args.k, args.q)
     doc = {"family": args.family, "k": args.k, "q": args.q, "representable": pred}
     if wit is not None:
         doc["witness"] = {

@@ -21,18 +21,7 @@ _ORDER_LIMIT = 1 << 16
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return prime_power(n) == (n, 1)
 
 
 def prime_power(q: int) -> tuple[int, int] | None:

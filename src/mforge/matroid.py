@@ -916,17 +916,14 @@ class PrincipalExtensionView(Matroid):
         return cl | e_bit
 
     def _flats_impl(self, k: int) -> list[int]:
-        try:
-            flats_k = self.parent.flats_of_rank(k) if k <= self.parent.full_rank else []
-            flats_k1 = (
-                self.parent.flats_of_rank(k - 1)
-                if 1 <= k <= self.parent.full_rank + 1
-                else []
-            )
-        except SizeCapError as exc:
-            _log_fallback(
-                "PrincipalExtensionView flats fall back to the generic search: %s", exc)
-            return super()._flats_impl(k)
+        # The parent refuses only past ENUM_CAP elements, where the generic
+        # search would refuse too, so its SizeCapError passes through.
+        flats_k = self.parent.flats_of_rank(k) if k <= self.parent.full_rank else []
+        flats_k1 = (
+            self.parent.flats_of_rank(k - 1)
+            if 1 <= k <= self.parent.full_rank + 1
+            else []
+        )
         e_bit = 1 << self.parent.n
         fm = self.fmask
         out = []
@@ -1011,9 +1008,13 @@ def materialize_bases(m: Matroid) -> BasesMatroid:
     r = m.full_rank
     if math.comb(m.n, r) > 2_000_000:
         raise SizeCapError("too many candidate bases to enumerate")
-    bases = [mask for mask in ksubset_masks(m.n, r) if m.rank(mask) == r]
-    if len(bases) > BASES_VERIFY_CAP:
-        raise SizeCapError(f"{len(bases)} bases exceed cap {BASES_VERIFY_CAP}")
+    bases = []
+    for mask in ksubset_masks(m.n, r):
+        if m.rank(mask) == r:
+            if len(bases) == BASES_VERIFY_CAP:
+                raise SizeCapError(
+                    f"at least {BASES_VERIFY_CAP + 1} bases exceed cap {BASES_VERIFY_CAP}")
+            bases.append(mask)
     return BasesMatroid(m.n, bases, verify=False)
 
 

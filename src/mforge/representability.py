@@ -141,6 +141,16 @@ def swirl_rep_predicate(k: int, q: int) -> bool:
     return _swirl_rep(k, q, is_prime)
 
 
+def family_rep(family: str, k: int, q: int) -> tuple[bool, SpikeWitness | None]:
+    """(closed-form predicate, witness search) for the rank-k free spike or
+    swirl over GF(q), the predicate first: it checks the parameters."""
+    if family == "spike":
+        return spike_rep_predicate(k, q), spike_witness_search(k, q)
+    if family == "swirl":
+        return swirl_rep_predicate(k, q), swirl_witness_search(k, q)
+    raise ValueError(f"unknown family {family!r}")
+
+
 def _spike_rep(k: int, q: int, prime) -> bool:
     """spike_rep_predicate on checked parameters; prime(x) tells whether x is prime."""
     return not prime(q) or k <= q - 2

@@ -9,6 +9,11 @@ so two runs with the same seed produce identical reports line for line.
 SUITES maps each suite name to its builder(seed, caps).  Builders and
 checks import the modules they use in their own bodies, so `mforge verify`
 loads only what the chosen suite runs.
+
+The corpus suites (rank-axioms, kung, lemma4, lemma5) build the seeded
+corpus once and list each member's cases together, every q included, so
+a member's cases run back to back on one matroid and one rank memo, and
+the member is freed once its last case has run.
 """
 
 from __future__ import annotations
@@ -151,20 +156,32 @@ def _check_dual_dual(m) -> dict:
     return _ok() if bad is None else _fail(f"double dual differs at mask {bad}")
 
 
-def _suite_rank_axioms(seed: int, caps: CorpusCaps) -> list:
+def _corpus_cases(seed: int, caps: CorpusCaps, cases_of) -> list:
+    """The (case id, thunk) pairs of one corpus pass: cases_of(m, d) lists
+    those of member m, whose descriptor is d, next to each other."""
     from .corpus import corpus_generate, descriptor
-    from .matroid import BasesMatroid, LinearMatroid
 
     cases = []
     for nm in corpus_generate(seed, caps):
-        m, d = nm.matroid, descriptor(nm)
-        if m.n <= 10:
-            cases.append((f"axioms[{d}]", (lambda m=m: _check_axioms(m))))
-        if m.n <= 12 and not isinstance(m, (LinearMatroid, BasesMatroid)):
-            cases.append((f"materialize[{d}]", (lambda m=m: _check_materialize(m))))
-        if m.n <= 12:
-            cases.append((f"dualdual[{d}]", (lambda m=m: _check_dual_dual(m))))
+        cases += cases_of(nm.matroid, descriptor(nm))
     return cases
+
+
+def _rank_axiom_cases(m, d: str) -> list:
+    from .matroid import BasesMatroid, LinearMatroid
+
+    cases = []
+    if m.n <= 10:
+        cases.append((f"axioms[{d}]", (lambda: _check_axioms(m))))
+    if m.n <= 12 and not isinstance(m, (LinearMatroid, BasesMatroid)):
+        cases.append((f"materialize[{d}]", (lambda: _check_materialize(m))))
+    if m.n <= 12:
+        cases.append((f"dualdual[{d}]", (lambda: _check_dual_dual(m))))
+    return cases
+
+
+def _suite_rank_axioms(seed: int, caps: CorpusCaps) -> list:
+    return _corpus_cases(seed, caps, _rank_axiom_cases)
 
 
 # ----------------------------------------------------------- point bounds
@@ -198,12 +215,8 @@ def _check_point_bound_tight(r: int, ell: int) -> dict:
 
 
 def _suite_kung(seed: int, caps: CorpusCaps) -> list:
-    from .corpus import corpus_generate, descriptor
-
-    cases = [
-        (f"bound[{descriptor(nm)}]", (lambda m=nm.matroid: _check_point_bound(m)))
-        for nm in corpus_generate(seed, caps)
-    ]
+    cases = _corpus_cases(
+        seed, caps, lambda m, d: [(f"bound[{d}]", (lambda: _check_point_bound(m)))])
     for ell in (2, 3, 4, 5):
         for r in (2, 3, 4):
             cases.append(
@@ -240,19 +253,11 @@ def _check_longline_all_elements(m, q: int) -> dict:
 
 
 def _suite_lemma4(seed: int, caps: CorpusCaps) -> list:
-    from .corpus import corpus_generate, descriptor
-
-    cases = []
-    for q in (2, 3):
-        for nm in corpus_generate(seed, caps):
-            if nm.matroid.is_q_dense(q):
-                cases.append(
-                    (
-                        f"step[q={q},{descriptor(nm)}]",
-                        (lambda m=nm.matroid, q=q: _check_longline_all_elements(m, q)),
-                    )
-                )
-    return cases
+    return _corpus_cases(seed, caps, lambda m, d: [
+        (f"step[q={q},{d}]", (lambda q=q: _check_longline_all_elements(m, q)))
+        for q in (2, 3)
+        if m.is_q_dense(q)
+    ])
 
 
 # ------------------------------------------------- dense restriction chain
@@ -271,63 +276,41 @@ def _check_dense_restriction(m, q: int, t: int) -> dict:
     return _ok(steps=len(rep.trace), final_rank=rep.final_rank)
 
 
-def _check_worked_descent() -> dict:
+def _check_synthetic_descent(big: tuple[int, int], small: tuple[int, int], t: int,
+                             side: str) -> dict:
+    """Descend at q = 2 from U(big) + U(small) truncated to rank 4: one step,
+    keeping side, onto the U(big) summand; the growth hypothesis fails."""
     from .constructions import uniform
     from .matroid import direct_sum, mask_of
     from .minors import dense_restriction
 
-    big = uniform(3, 13).matroid
-    small = uniform(2, 3).matroid
-    m = direct_sum(big, small).truncate(4)
-    rep = dense_restriction(m, 2, 3)
+    m = direct_sum(uniform(*big).matroid, uniform(*small).matroid).truncate(4)
+    rep = dense_restriction(m, 2, t)
     if len(rep.trace) != 1:
         return _fail(f"expected a single descent step, got {len(rep.trace)}")
-    if rep.trace[0][1] != "hyperplane":
-        return _fail(f"expected the hyperplane side, kept {rep.trace[0][1]}")
-    if rep.restriction != mask_of(range(13)):
-        return _fail("descent did not land on the 13-element component")
-    if rep.final_rank != 3 or not rep.final_dense:
+    if rep.trace[0][1] != side:
+        return _fail(f"expected the {side} side, kept {rep.trace[0][1]}")
+    if rep.restriction != mask_of(range(big[1])):
+        return _fail(f"descent did not land on the U{big} summand")
+    if rep.final_rank != t or not rep.final_dense:
         return _fail(f"final rank {rep.final_rank}, dense={rep.final_dense}")
     if rep.hypothesis_holds:
         return _fail("growth hypothesis unexpectedly holds for this input")
     return _ok(steps=1, final_rank=rep.final_rank)
 
 
-def _check_cocircuit_branch() -> dict:
-    from .constructions import uniform
-    from .matroid import direct_sum, mask_of
-    from .minors import dense_restriction
-
-    line = uniform(2, 16).matroid
-    plane = uniform(3, 4).matroid
-    m = direct_sum(line, plane).truncate(4)
-    rep = dense_restriction(m, 2, 2)
-    if len(rep.trace) != 1 or rep.trace[0][1] != "cocircuit":
-        return _fail("expected one descent step keeping the cocircuit side")
-    if rep.restriction != mask_of(range(16)):
-        return _fail("descent did not land on the 16-element line")
-    if rep.final_rank != 2 or not rep.final_dense:
-        return _fail(f"final rank {rep.final_rank}, dense={rep.final_dense}")
-    return _ok(steps=1, final_rank=rep.final_rank)
-
-
 def _suite_lemma5(seed: int, caps: CorpusCaps) -> list:
-    from .corpus import corpus_generate, descriptor
-
     cases = [
-        ("synthetic[hyperplane-kept]", _check_worked_descent),
-        ("synthetic[cocircuit-kept]", _check_cocircuit_branch),
+        ("synthetic[hyperplane-kept]",
+         (lambda: _check_synthetic_descent((3, 13), (2, 3), 3, "hyperplane"))),
+        ("synthetic[cocircuit-kept]",
+         (lambda: _check_synthetic_descent((2, 16), (3, 4), 2, "cocircuit"))),
     ]
-    for q in (2, 3):
-        for nm in corpus_generate(seed, caps):
-            if nm.matroid.n <= 40 and nm.matroid.is_q_dense(q):
-                cases.append(
-                    (
-                        f"descend[q={q},{descriptor(nm)}]",
-                        (lambda m=nm.matroid, q=q: _check_dense_restriction(m, q, 2)),
-                    )
-                )
-    return cases
+    return cases + _corpus_cases(seed, caps, lambda m, d: [
+        (f"descend[q={q},{d}]", (lambda q=q: _check_dense_restriction(m, q, 2)))
+        for q in (2, 3)
+        if m.n <= 40 and m.is_q_dense(q)
+    ])
 
 
 # ------------------------------------------- extensions of geometries
@@ -380,20 +363,9 @@ _ORACLE_KS = tuple(range(3, 11))
 
 
 def _check_oracle(kind: str, k: int, q: int) -> dict:
-    from .representability import (
-        spike_rep_predicate,
-        spike_witness_search,
-        swirl_rep_predicate,
-        swirl_witness_search,
-        witness_is_valid,
-    )
+    from .representability import family_rep, witness_is_valid
 
-    if kind == "spike":
-        pred = spike_rep_predicate(k, q)
-        wit = spike_witness_search(k, q)
-    else:
-        pred = swirl_rep_predicate(k, q)
-        wit = swirl_witness_search(k, q)
+    pred, wit = family_rep(kind, k, q)
     if pred != (wit is not None):
         return _fail(f"predicate says {pred} but search {'found' if wit else 'found no'} witness")
     if wit is not None and not witness_is_valid(wit):
@@ -470,62 +442,38 @@ def _suite_growth(seed: int, caps: CorpusCaps) -> list:
 
 # ------------------------------------------------------ structure checks
 
-def _pairs_of(nm) -> list[tuple[int, int]]:
-    return [tuple(p) for p in nm.meta["pairs"]]
-
-
-def _check_spike_structure(k: int) -> dict:
-    from .constructions import free_spike, uniform
+def _check_structure(kind: str, k: int) -> dict:
+    """Rank k on 2k points; the union of two legs is a circuit for any two
+    spike legs but only for cyclically consecutive swirl legs, the other
+    swirl unions having rank 4; at k = 3 both families are U(3,6)."""
+    from .constructions import free_spike, free_swirl, uniform
     from .matroid import mask_of
     from .minors import are_isomorphic, iso_is_valid
 
-    nm = free_spike(k)
+    nm = free_spike(k) if kind == "spike" else free_swirl(k)
     m = nm.matroid
     if m.full_rank != k or m.epsilon() != 2 * k or m.n != 2 * k:
         return _fail(f"rank {m.full_rank}, {m.epsilon()} points on {m.n} elements")
-    pairs = _pairs_of(nm)
-    for (a, b), (c, d) in itertools.combinations(pairs, 2):
-        u = mask_of([a, b, c, d])
-        if not m.is_circuit(u):
-            return _fail(f"pair union {sorted([a, b, c, d])} is not a circuit")
-    if k == 3:
-        other = uniform(3, 6).matroid
-        iso = are_isomorphic(m, other)
-        if iso is None or not iso_is_valid(m, other, iso.mapping):
-            return _fail("rank-3 spike should be the 6-point uniform rank-3 matroid")
-    return _ok(pairs=len(pairs))
-
-
-def _check_swirl_structure(k: int) -> dict:
-    from .constructions import free_swirl, uniform
-    from .matroid import mask_of
-    from .minors import are_isomorphic, iso_is_valid
-
-    nm = free_swirl(k)
-    m = nm.matroid
-    if m.full_rank != k or m.epsilon() != 2 * k or m.n != 2 * k:
-        return _fail(f"rank {m.full_rank}, {m.epsilon()} points on {m.n} elements")
-    pairs = _pairs_of(nm)
+    pairs = nm.meta["pairs"]
     for i, j in itertools.combinations(range(k), 2):
-        consecutive = (j - i == 1) or (i == 0 and j == k - 1)
         u = mask_of(pairs[i] + pairs[j])
-        if consecutive:
+        if kind == "spike" or j - i == 1 or (i == 0 and j == k - 1):
             if not m.is_circuit(u):
-                return _fail(f"adjacent pair union {i},{j} is not a circuit")
+                return _fail(f"pair union {i},{j} is not a circuit")
         elif m.rank(u) != 4:
             return _fail(f"non-adjacent pair union {i},{j} is dependent")
     if k == 3:
         other = uniform(3, 6).matroid
         iso = are_isomorphic(m, other)
         if iso is None or not iso_is_valid(m, other, iso.mapping):
-            return _fail("rank-3 swirl should be the 6-point uniform rank-3 matroid")
+            return _fail(f"rank-3 {kind} should be the 6-point uniform rank-3 matroid")
     return _ok(pairs=len(pairs))
 
 
 def _suite_structure(kind: str):
-    chk = _check_spike_structure if kind == "spike" else _check_swirl_structure
     def build(seed: int, caps: CorpusCaps) -> list:
-        return [(f"{kind}[k={k}]", (lambda k=k: chk(k))) for k in (3, 4, 5, 6)]
+        return [(f"{kind}[k={k}]", (lambda k=k: _check_structure(kind, k)))
+                for k in (3, 4, 5, 6)]
 
     return build
 

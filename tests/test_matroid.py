@@ -483,6 +483,17 @@ def test_flat_fallbacks_are_logged(caplog):
     assert messages[1].startswith("MinorView flats fall back")
 
 
+def test_extension_of_a_large_geometry_refuses_flats_unlogged(caplog):
+    # PG(8,2) has 511 > ENUM_CAP points and too many rank-3 subspaces to
+    # walk, so its generic search refuses; the extension has 512 elements,
+    # so its own generic search would refuse too, and it announces none
+    ext = pg(9, 2).matroid.principal_extension(0)
+    with caplog.at_level(logging.DEBUG, logger="mforge"):
+        with pytest.raises(SizeCapError, match="needs n <= 64"):
+            ext.flats_of_rank(3)
+    assert not any(r.getMessage().startswith("PrincipalExtensionView") for r in caplog.records)
+
+
 def _parent_delegated_flats(view, k):
     """Rank-k flats of a minor read off its parent's flats of rank k + r(C)."""
     pk = k + view._rc

@@ -479,6 +479,36 @@ def test_unavoidable_minor_error_taxonomy():
         unavoidable_minor_of_extension(par, 2, 2)
 
 
+def _seeded_host(rng, q):
+    """A GF(q) matroid on 6 to 8 distinct nonzero columns of length 3 or 4."""
+    dim = rng.randint(3, 4)
+    codes = rng.sample(range(1, q**dim), min(rng.randint(6, 8), q**dim - 1))
+    return LinearMatroid(field_new(q), [tuple(x // q**i % q for i in range(dim))
+                                        for x in codes])
+
+
+@pytest.mark.parametrize("q,line", [(2, 4), (3, 5)])
+@pytest.mark.parametrize("seed", range(8))
+def test_has_minor_finds_planted_minors(q, line, seed):
+    # N = M / C \ D planted with the column operations and relabelled: the
+    # search finds it and agrees with the exhaustive reference; the
+    # (q + 2)-point line is a minor of no GF(q) matroid
+    rng = random.Random(seed)
+    host = _seeded_host(rng, q)
+    c = mask_of(rng.sample(range(host.n), rng.randint(0, host.full_rank - 2)))
+    contracted = host.contract_columns(c)
+    keep = rng.sample(range(contracted.n), rng.randint(4, min(6, contracted.n)))
+    target = contracted.restrict_columns(keep)
+    perm = list(range(target.n))
+    rng.shuffle(perm)
+    target = _relabel(target, perm)
+    wit = has_minor(host, target)
+    assert wit is not None and minors.minor_is_valid(host, target, wit)
+    assert naive_has_minor(host, target)
+    assert has_minor(host, uniform(2, line).matroid) is None
+    assert not naive_has_minor(host, uniform(2, line).matroid)
+
+
 def test_line_precheck_runs_before_the_size_cap(monkeypatch):
     # PG(4,2) has 31 > MINOR_CAP elements; its longest line minor has 3 points
     host = pg(5, 2).matroid

@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from mforge.corpus import CorpusCaps
+from mforge.corpus import CorpusCaps, corpus_generate, descriptor
 from mforge.gf import prime_powers_upto
 from mforge.suites import SUITES, _randrange_values, run_suite
 
@@ -73,6 +73,30 @@ def test_finished_case_is_released(monkeypatch):
     monkeypatch.setitem(SUITES, "field-axioms", build)
     rep = run_suite("field-axioms")
     assert [c["pass"] for c in rep.cases] == [True, True]
+
+
+@pytest.mark.parametrize("suite", ["rank-axioms", "kung", "lemma4", "lemma5"])
+def test_corpus_suites_build_the_corpus_once(suite, monkeypatch):
+    # one corpus pass per suite; each member's cases, every q included, sit
+    # next to each other in run order
+    from mforge import corpus
+
+    built = []
+
+    def counted(seed, caps):
+        built.append(corpus_generate(seed, caps))
+        return built[-1]
+
+    monkeypatch.setattr(corpus, "corpus_generate", counted)
+    cids = [cid for cid, _ in SUITES[suite](0, CorpusCaps())]
+    assert len(built) == 1
+    members = [descriptor(nm) for nm in built[0]]
+    owners = [next((d for d in members if cid.endswith((f"[{d}]", f",{d}]"))), None)
+              for cid in cids]
+    order = [d for d in owners if d is not None]
+    assert order
+    blocks = [d for i, d in enumerate(order) if i == 0 or order[i - 1] != d]
+    assert len(blocks) == len(set(blocks))
 
 
 def test_caps_thread_through():
