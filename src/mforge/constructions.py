@@ -19,6 +19,7 @@ from itertools import product
 from .errors import SizeCapError
 from .gf import GF
 from .matroid import (
+    GROUND_CAP,
     BasesMatroid,
     LinearMatroid,
     Matroid,
@@ -31,6 +32,9 @@ from .matroid import (
 from .records import FrozenRecord
 
 POINT_CAP = 4096
+# A rank query descends one parallel connection per link, about two stack
+# frames each; chains of 495 links overflow Python's default recursion limit.
+CHAIN_CAP = 300
 
 
 class NamedMatroid(FrozenRecord):
@@ -66,9 +70,8 @@ def pg(n: int, q: int) -> NamedMatroid:
     if n < 1:
         raise ValueError("rank must be at least 1")
     gf = GF(q)
-    count = (q**n - 1) // (q - 1)
-    if count > POINT_CAP:
-        raise SizeCapError(f"{count} points exceed cap {POINT_CAP}")
+    if n > POINT_CAP or (q**n - 1) // (q - 1) > POINT_CAP:  # n first: q^n stays small
+        raise SizeCapError(f"PG({n - 1},{q}) points exceed cap {POINT_CAP}")
     m = LinearMatroid(gf, projective_points(q, n))
     return NamedMatroid(
         m,
@@ -83,9 +86,8 @@ def ag(n: int, q: int) -> NamedMatroid:
     if n < 1:
         raise ValueError("rank must be at least 1")
     gf = GF(q)
-    count = q ** (n - 1)
-    if count > POINT_CAP:
-        raise SizeCapError(f"{count} points exceed cap {POINT_CAP}")
+    if n > POINT_CAP or q ** (n - 1) > POINT_CAP:  # n first: q^(n-1) stays small
+        raise SizeCapError(f"AG({n - 1},{q}) points exceed cap {POINT_CAP}")
     cols = [(1,) + tail for tail in product(range(q), repeat=n - 1)]
     m = LinearMatroid(gf, cols)
     return NamedMatroid(
@@ -112,6 +114,8 @@ def theta_graph(k: int, q: int = 2) -> NamedMatroid:
     """
     if k < 2:
         raise ValueError("need at least 2 paths")
+    if 2 * k > GROUND_CAP:  # before building 2k columns of length k + 2
+        raise SizeCapError(f"ground size {2 * k} outside [0, {GROUND_CAP}]")
     gf = GF(q)
     neg1 = gf.neg(1)
     rows = k + 2  # hub1, mid_1..mid_k, hub2
@@ -165,6 +169,8 @@ def two_sum_chain(k: int) -> NamedMatroid:
     """
     if k < 1:
         raise ValueError("chain length must be at least 1")
+    if k > CHAIN_CAP:
+        raise SizeCapError(f"chain length {k} exceeds cap {CHAIN_CAP}")
     cur: Matroid = uniform(2, 4).matroid  # ids: 0 left, 1 a, 2 b, 3 right
     for i in range(1, k):
         cur = ParallelConnectionView(cur, uniform(2, 4).matroid, p1=3 * i, p2=0)

@@ -141,11 +141,11 @@ class GF:
 
     def __init__(self, q: int, _parts: tuple[int, int, tuple[int, ...]] | None = None):
         if _parts is None:
+            if q > _ORDER_LIMIT:  # before prime_power's trial division
+                raise NotPrimePowerError(f"field order {q} exceeds cap {_ORDER_LIMIT}")
             pk = prime_power(q)
             if pk is None:
                 raise NotPrimePowerError(f"{q} is not a prime power")
-            if q > _ORDER_LIMIT:
-                raise NotPrimePowerError(f"field order {q} exceeds cap {_ORDER_LIMIT}")
             p, k = pk
             modulus = smallest_irreducible(p, k)
         else:
@@ -163,11 +163,14 @@ class GF:
 
     @classmethod
     def from_parts(cls, p: int, k: int, modulus: tuple[int, ...]) -> "GF":
-        """Rebuild a field from serialized parts, validating them."""
-        if not is_prime(p):
-            raise NotPrimePowerError(f"{p} is not prime")
-        if k < 1 or p**k > _ORDER_LIMIT:
+        """Rebuild a field from serialized parts, validating them; the order
+        cap comes before is_prime's trial division."""
+        if k < 1:
             raise NotPrimePowerError(f"unsupported extension degree {k}")
+        if k > 16 or p**k > _ORDER_LIMIT:  # 2^17 already exceeds the cap
+            raise NotPrimePowerError(f"field order {p}^{k} exceeds cap {_ORDER_LIMIT}")
+        if not is_prime(p):
+            raise NotPrimePowerError(f"field characteristic {p} is not prime")
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k, constant term first")

@@ -49,9 +49,9 @@ contracted element.
 All matroids are immutable after construction.  The only mutable state is
 the per-instance rank memo, which behaves as a pure cache.
 
-Enumerative operations (flats, circuits, cocircuits) are capped:
-ground sets up to ENUM_CAP elements, circuits up to CIRCUIT_CAP.  Rank
-queries alone are permitted on ground sets up to GROUND_CAP elements.
+Enumerative operations are capped: flats and cocircuits need ground sets of at
+most ENUM_CAP elements (a bases list's hyperplanes excepted), circuits at most
+CIRCUIT_CAP.  Rank queries alone are permitted up to GROUND_CAP elements.
 """
 
 from __future__ import annotations
@@ -212,11 +212,7 @@ class Matroid:
         return basis
 
     def flats_of_rank(self, k: int) -> list[int]:
-        """All flats of rank exactly k, ascending by bitmask.
-
-        Generic algorithm: closures of independent k-sets, emitting each flat
-        only from its lexicographically least generating independent set.
-        """
+        """All flats of rank exactly k, ascending by bitmask."""
         if k < 0 or k > self.full_rank:
             raise ValueError(f"flat rank {k} outside [0, {self.full_rank}]")
         if k == 0:
@@ -228,13 +224,11 @@ class Matroid:
     def _flats_impl(self, k: int) -> list[int]:
         if self.n > ENUM_CAP:
             raise SizeCapError(f"flat enumeration needs n <= {ENUM_CAP}, got {self.n}")
-        found: list[int] = []
+        found: set[int] = set()  # the distinct closures of the independent k-sets
 
         def dfs(cur: int, size: int, start: int):
             if size == k:
-                flat = self.closure(cur)
-                if self._greedy_basis(flat) == cur:
-                    found.append(flat)
+                found.add(self.closure(cur))
                 return
             for e in range(start, self.n):
                 b = 1 << e
@@ -242,12 +236,10 @@ class Matroid:
                     dfs(cur | b, size + 1, e + 1)
 
         dfs(0, 0, 0)
-        return found
+        return list(found)
 
     def hyperplanes(self) -> list[int]:
-        if self.full_rank == 0:
-            return []
-        return self.flats_of_rank(self.full_rank - 1)
+        return self.flats_of_rank(self.full_rank - 1) if self.full_rank else []
 
     def cocircuits(self) -> list[int]:
         """Complements of hyperplanes, ascending by bitmask."""
@@ -727,30 +719,38 @@ class BasesMatroid(Matroid):
                     f"exchange check needs at most {BASES_VERIFY_CAP} bases, got {len(bs)}")
             self._verify_exchange()
 
+    def _fundamental_cocircuits(self):
+        """(B, C*(B, x)) for each basis B, in order, and x in B, ascending: the y making
+        B - x + y a basis, the cocircuit meeting B in x alone (Oxley, Matroid Theory, ch. 2)."""
+        full, bases_set = (1 << self.n) - 1, set(self.bases)
+        for b in self.bases:
+            outside = [1 << y for y in bits(full ^ b)]
+            for x in bits(b):
+                base = b ^ (1 << x)
+                yield b, sum(y for y in outside if base | y in bases_set) | 1 << x
+
     def _verify_exchange(self):
-        """For bases b1 != b2 and x in b1 - b2, some y in b2 - b1 makes
-        b1 - x + y a basis.  The y that do (swaps) all lie outside b1, so the
-        exchange fails at x exactly when b2 misses avoid = swaps + x; b1 itself
-        never does.  Failures are found in order of b1, then b2, then x."""
+        """Basis b2 misses C*(b1, x) exactly when x is not in b2 and no y in b2 - b1
+        completes b1 - x, so exchange holds iff every basis meets every C*.  Each
+        distinct C* is scanned once for its first missing basis; the bases are sorted,
+        so the least miss (b1, b2, x) is the first failure by b1, then b2, then x."""
+        seen, misses = set(), []
+        for b1, c in self._fundamental_cocircuits():
+            if c not in seen:
+                seen.add(c)
+                b2 = next((b2 for b2 in self.bases if not b2 & c), None)
+                if b2 is not None:
+                    misses.append((b1, b2, (c & b1).bit_length() - 1))
+        if misses:
+            b1, b2, x = min(misses)
+            raise ValueError(f"basis exchange fails for {bits(b1)} / {bits(b2)} at {x}")
+
+    def _flats_impl(self, k: int) -> list[int]:
+        """Hyperplanes are the complements cl(B - x) of the distinct C*(B, x)."""
+        if k != self._full_rank - 1:
+            return super()._flats_impl(k)
         full = (1 << self.n) - 1
-        bases, bases_set = self.bases, set(self.bases)
-        for b1 in bases:
-            outside = [1 << y for y in bits(full ^ b1)]
-            avoids = []
-            for x in bits(b1):
-                base = b1 ^ (1 << x)
-                avoid = 1 << x
-                for y in outside:
-                    if base | y in bases_set:
-                        avoid |= y
-                avoids.append(avoid)
-            for b2 in bases:
-                for avoid in avoids:
-                    if not b2 & avoid:
-                        x = (avoid & b1).bit_length() - 1
-                        raise ValueError(
-                            f"basis exchange fails for {bits(b1)} / {bits(b2)} at {x}"
-                        )
+        return list({full ^ c for _, c in self._fundamental_cocircuits()})
 
     def _rank_mask(self, mask: int) -> int:
         target = min(mask.bit_count(), self._full_rank)
@@ -1028,23 +1028,21 @@ def rank_axioms_hold(m: Matroid) -> str | None:
     Unit increase plus local submodularity
       r(X+e) + r(X+f) >= r(X+e+f) + r(X)
     over all X and e, f not in X is equivalent to the full axiom system.
+    Each subset's rank is read from m.rank once, then swept from that list.
     """
     if m.n > 16:
         raise SizeCapError("axiom sweep needs n <= 16")
-    if m.rank(0) != 0:
+    ranks = [m.rank(x) for x in range(1 << m.n)]
+    if ranks[0] != 0:
         return "rank of empty set is nonzero"
-    for x in range(1 << m.n):
-        rx = m.rank(x)
+    for x, rx in enumerate(ranks):
         outside = [e for e in range(m.n) if not x & (1 << e)]
-        step = {}
         for e in outside:
-            re = m.rank(x | (1 << e))
-            if not rx <= re <= rx + 1:
+            if not rx <= ranks[x | (1 << e)] <= rx + 1:
                 return f"unit increase fails at X={x} e={e}"
-            step[e] = re
         for i, e in enumerate(outside):
+            re = ranks[x | (1 << e)]
             for f in outside[i + 1:]:
-                ref = m.rank(x | (1 << e) | (1 << f))
-                if step[e] + step[f] < ref + rx:
+                if re + ranks[x | (1 << f)] < ranks[x | (1 << e) | (1 << f)] + rx:
                     return f"submodularity fails at X={x} e={e} f={f}"
     return None

@@ -64,14 +64,18 @@ def witness_is_valid(w: SpikeWitness) -> bool:
     return w.beta1 not in attained and w.beta2 not in attained
 
 
+def _check_witness_caps(k: int, q: int) -> None:
+    if q > WITNESS_Q_CAP or k > WITNESS_K_CAP:
+        raise SizeCapError(f"witness search capped at q <= {WITNESS_Q_CAP}, k <= {WITNESS_K_CAP}")
+
+
 def _witness_search(k: int, q: int, values, agg, unit: int) -> SpikeWitness | None:
     """First multiset of k-1 values (sorted, lexicographic order) leaving two
     domain elements unattained.  The attained bitmask only grows along a
     prefix, so a prefix leaving fewer than two free elements is cut."""
     if k < 3:
         raise ValueError("rank must be at least 3")
-    if q > WITNESS_Q_CAP or k > WITNESS_K_CAP:
-        raise SizeCapError(f"witness search capped at q <= {WITNESS_Q_CAP}, k <= {WITNESS_K_CAP}")
+    _check_witness_caps(k, q)
     domain = (1 << q) - (1 << unit)  # bits unit..q-1
     image = [[1 << agg(a, x) for x in range(q)] for a in values]  # x -> bit of agg(a, x)
     alphas: list[int] = []
@@ -143,7 +147,9 @@ def swirl_rep_predicate(k: int, q: int) -> bool:
 
 def family_rep(family: str, k: int, q: int) -> tuple[bool, SpikeWitness | None]:
     """(closed-form predicate, witness search) for the rank-k free spike or
-    swirl over GF(q), the predicate first: it checks the parameters."""
+    swirl over GF(q), the predicate first: it checks the parameters.  The
+    witness caps come before both, so no order past them is factored."""
+    _check_witness_caps(k, q)
     if family == "spike":
         return spike_rep_predicate(k, q), spike_witness_search(k, q)
     if family == "swirl":

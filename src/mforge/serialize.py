@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 
 from .errors import NotPrimePowerError, SchemaError, SizeCapError
-from .gf import GF, is_prime
+from .gf import GF
 from .matroid import BASES_VERIFY_CAP, BasesMatroid, LinearMatroid, Matroid, bits, materialize_bases
 
 _LINEAR_KEYS = {"kind", "field", "columns"}
@@ -50,8 +50,6 @@ def _field_from_doc(doc: dict) -> GF:
     _check_keys(doc, _FIELD_KEYS, "field")
     p = _require_int(doc, "p", low=2)
     k = _require_int(doc, "k", low=1)
-    if not is_prime(p):
-        raise SchemaError("not-prime-power", f"field characteristic {p} is not prime")
     mod = doc["modulus"]
     if not isinstance(mod, list) or not all(
         isinstance(c, int) and not isinstance(c, bool) for c in mod

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import mforge
+from mforge import constructions
 from mforge.cli import main
 from mforge.serialize import save_path
 from mforge.suites import SUITES
@@ -278,14 +279,67 @@ def test_unverifiable_bases_document_exits_two(tmp_path, capsys):
     assert err.startswith("mforge: exchange check needs at most 5000 bases, got 5006")
 
 
-def test_internal_error_exits_two(capsys):
-    # a 1000-link chain overflows the recursion limit; a crash must not
-    # read as the clean negative exit 1
+def test_internal_error_exits_two(capsys, monkeypatch):
+    # a crash (here a constructor that overflows the recursion limit) must
+    # not read as the clean negative exit 1
+    def overflow(k: int):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(constructions, "two_sum_chain", overflow)
     code, out, err = run(capsys, "construct", "chain", "k=1000")
     assert code == 2
     assert out == ""
     assert err.startswith("mforge: internal: RecursionError: ")
     assert len(err.splitlines()) == 1
+
+
+_HUGE_PRIME = 999999999999999989
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("construct", "pg", "n=2", f"q={_HUGE_PRIME}"), f"field order {_HUGE_PRIME} exceeds cap"),
+    (("eps", _HUGE_PRIME), f"field order {_HUGE_PRIME}^1 exceeds cap"),
+    (("eps", 1000003), "field order 1000003^1 exceeds cap"),
+    (("rep", "spike", "--k", "3", "--q", str(_HUGE_PRIME)), "witness search capped at q <= 13"),
+], ids=["GF", "from-parts", "from-parts-prime", "rep"])
+def test_field_order_cap_comes_before_trial_division(tmp_path, capsys, argv, message):
+    # trial division of an 18-digit prime would run for minutes; the order
+    # cap refuses it first, with exit 2
+    if argv[0] == "eps":  # a linear document over GF(p), p = argv[1]
+        path = tmp_path / "field.json"
+        field = {"p": argv[1], "k": 1, "modulus": [0, 1]}
+        path.write_text(json.dumps({"kind": "linear", "field": field, "columns": [[1]]}))
+        argv = ("eps", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("chain", "k=301"), "chain length 301 exceeds cap 300"),
+    (("swirl", "k=301"), "chain length 301 exceeds cap 300"),
+    (("theta", "k=2049"), "ground size 4098 outside [0, 4096]"),
+    (("spike", "k=2049"), "ground size 4098 outside [0, 4096]"),
+    (("pg", "n=3000000", "q=2"), "PG(2999999,2) points exceed cap 4096"),
+    (("ag", "n=4000", "q=65521"), "AG(3999,65521) points exceed cap 4096"),
+], ids=["chain", "swirl", "theta", "spike", "pg", "ag"])
+def test_constructors_refuse_before_they_build(capsys, monkeypatch, argv, message):
+    def unbuilt(*args):
+        raise AssertionError("a matroid was built before its cap was checked")
+
+    for name in ("LinearMatroid", "BasesMatroid"):
+        monkeypatch.setattr(constructions, name, unbuilt)
+    code, out, err = run(capsys, "construct", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"mforge: {message}\n"
+
+
+def test_chain_at_its_cap_stays_within_the_recursion_limit(capsys):
+    code, out, _ = run(capsys, "construct", "chain", f"k={constructions.CHAIN_CAP}")
+    assert code == 0
+    assert json.loads(out)["n"] == 2 * constructions.CHAIN_CAP + 2
 
 
 def test_iso_rank_mismatch_above_the_cap_exits_one(tmp_path, capsys):

@@ -752,6 +752,48 @@ def test_exchange_check_matches_reference():
     assert min(outcomes.values()) >= 20, outcomes
 
 
+def test_bases_hyperplanes_match_generic_search():
+    # every matroid among the exchange families, loops and coloops included:
+    # the complements of the fundamental cocircuits are the generic search's
+    # rank-(r-1) flats
+    checked = 0
+    for n, bases in _exchange_families(random.Random(12)):
+        bases = sorted(set(bases))
+        if _reference_exchange(n, bases) is not None:
+            continue
+        m = BasesMatroid(n, bases, verify=True)
+        r = m.full_rank
+        if r == 0:
+            assert m.hyperplanes() == []
+            continue
+        want = sorted(Matroid._flats_impl(m, r - 1))
+        assert sorted(m._flats_impl(r - 1)) == want
+        assert m.hyperplanes() == want
+        checked += 1
+    assert checked >= 40, checked
+    # above ENUM_CAP the generic search refuses, the bases list does not
+    line = BasesMatroid(70, list(ksubset_masks(70, 2)), verify=True)
+    assert line.hyperplanes() == [1 << e for e in range(70)]
+    with pytest.raises(SizeCapError, match="flat enumeration"):
+        Matroid._flats_impl(line, 1)
+
+
+def test_pair_colours_of_a_bases_document_skip_the_generic_search(monkeypatch):
+    from mforge.minors import _pair_colours
+    from mforge.serialize import matroid_from_json, matroid_to_json
+
+    spike = free_spike(5).matroid
+    want = _pair_colours(spike)
+    loaded = matroid_from_json(matroid_to_json(spike))
+    assert isinstance(loaded, BasesMatroid)
+
+    def refuse(self, k):
+        raise AssertionError(f"generic flat search on {self!r} at rank {k}")
+
+    monkeypatch.setattr(Matroid, "_flats_impl", refuse)
+    assert _pair_colours(loaded) == want
+
+
 def test_bases_verification_above_cap_refuses():
     # not a matroid: the 7-sets containing 0 plus {1..7}, 5006 sets
     bad = [mask_of(b) | 1 for b in itertools.combinations(range(1, 16), 6)] + [0b11111110]
