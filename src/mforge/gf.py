@@ -14,7 +14,7 @@ arithmetic operations are O(1) lookups.  GF objects are immutable.
 
 from __future__ import annotations
 
-from .errors import NotPrimePowerError
+from .errors import NotPrimePowerError, SizeCapError
 
 _TABLE_LIMIT = 256
 _ORDER_LIMIT = 1 << 16
@@ -142,7 +142,7 @@ class GF:
     def __init__(self, q: int, _parts: tuple[int, int, tuple[int, ...]] | None = None):
         if _parts is None:
             if q > _ORDER_LIMIT:  # before prime_power's trial division
-                raise NotPrimePowerError(f"field order {q} exceeds cap {_ORDER_LIMIT}")
+                raise SizeCapError(f"field order {q} exceeds cap {_ORDER_LIMIT}")
             pk = prime_power(q)
             if pk is None:
                 raise NotPrimePowerError(f"{q} is not a prime power")
@@ -168,7 +168,7 @@ class GF:
         if k < 1:
             raise NotPrimePowerError(f"unsupported extension degree {k}")
         if k > 16 or p**k > _ORDER_LIMIT:  # 2^17 already exceeds the cap
-            raise NotPrimePowerError(f"field order {p}^{k} exceeds cap {_ORDER_LIMIT}")
+            raise SizeCapError(f"field order {p}^{k} exceeds cap {_ORDER_LIMIT}")
         if not is_prime(p):
             raise NotPrimePowerError(f"field characteristic {p} is not prime")
         modulus = tuple(int(c) % p for c in modulus)
@@ -315,5 +315,6 @@ class GF:
 
 
 def field_new(q: int) -> GF:
-    """Construct GF(q), raising NotPrimePowerError for invalid orders."""
+    """Construct GF(q), raising NotPrimePowerError for invalid orders and
+    SizeCapError for orders above the cap."""
     return GF(q)

@@ -222,21 +222,35 @@ class Matroid:
         return out
 
     def _flats_impl(self, k: int) -> list[int]:
+        """Each rank-k flat once, walked up from cl(empty) along its greedy basis.
+
+        A prefix of a flat's greedy basis is the greedy basis of its own
+        closure, so a flat G of rank j + 1 has one parent on the walk: the
+        closure F of its first j greedy-basis elements, with G = cl(F + e)
+        for e the least element of G - F, above every greedy-basis element
+        of F.  The walk takes each such e upward, skipping those in a cover
+        of F it has already found, so no flat is reached twice.
+        """
         if self.n > ENUM_CAP:
             raise SizeCapError(f"flat enumeration needs n <= {ENUM_CAP}, got {self.n}")
-        found: set[int] = set()  # the distinct closures of the independent k-sets
+        full = (1 << self.n) - 1
+        out: list[int] = []
 
-        def dfs(cur: int, size: int, start: int):
-            if size == k:
-                found.add(self.closure(cur))
+        def walk(flat: int, above: int, rank: int):
+            # above: the elements past the last greedy-basis element of flat
+            if rank == k:
+                out.append(flat)
                 return
-            for e in range(start, self.n):
-                b = 1 << e
-                if self.rank(cur | b) == size + 1:
-                    dfs(cur | b, size + 1, e + 1)
+            rest = above & ~flat
+            while rest:
+                low = rest & -rest
+                cover = self.closure(flat | low)
+                rest &= ~cover
+                if not cover & ~flat & ~above:  # low is the least of cover - flat
+                    walk(cover, full & -(low << 1), rank + 1)
 
-        dfs(0, 0, 0)
-        return list(found)
+        walk(self.closure(0), full, 0)
+        return out
 
     def hyperplanes(self) -> list[int]:
         return self.flats_of_rank(self.full_rank - 1) if self.full_rank else []
@@ -513,8 +527,9 @@ class LinearMatroid(Matroid):
         r = self.full_rank
         gf = self.field
         count = _gaussian_binomial(r, k, gf.q)
-        # The walk visits every point of every rank-k subspace; the search
-        # visits at most C(n, k) independent sets at about n queries each.
+        # The subspace walk visits every point of every rank-k subspace; the
+        # generic search takes up to n closures at each flat of rank below k,
+        # priced here as C(n, k) flats.
         walk = count * (gf.q**k - 1) // (gf.q - 1)
         if self.n <= ENUM_CAP and walk > math.comb(self.n, k) * self.n:
             return super()._flats_impl(k)
@@ -822,8 +837,6 @@ class MinorView(Matroid):
     def _flats_impl(self, k: int) -> list[int]:
         if not self._linear_flats:
             return super()._flats_impl(k)
-        # Flats of M/C\D of rank k are (F - C) & keep for parent flats F of
-        # rank k + r(C), filtered back to rank k and deduped.
         pk = k + self._rc
         if pk > self.parent.full_rank:
             return []
@@ -832,11 +845,14 @@ class MinorView(Matroid):
         except SizeCapError as exc:
             _log_fallback("MinorView flats fall back to the generic search: %s", exc)
             return super()._flats_impl(k)
+        # F - C - D is a flat of M/C\D when the flat F holds C, of rank
+        # r_M(F - D) - r(C), which is k unless F meets D; each flat of the
+        # minor is cl_M(Y + C) - C - D for some Y, so these are all of them.
+        c, d = self.contract_mask, self.delete_mask
         out = set()
         for f in parent_flats:
-            m = self._drop_mask(f)
-            if m not in out and self.rank(m) == k and self.closure(m) == m:
-                out.add(m)
+            if f & c == c and (not f & d or self.parent.rank(f & ~d) == pk):
+                out.add(self._drop_mask(f))
         return list(out)
 
 
@@ -917,24 +933,22 @@ class PrincipalExtensionView(Matroid):
 
     def _flats_impl(self, k: int) -> list[int]:
         # The parent refuses only past ENUM_CAP elements, where the generic
-        # search would refuse too, so its SizeCapError passes through.
-        flats_k = self.parent.flats_of_rank(k) if k <= self.parent.full_rank else []
-        flats_k1 = (
-            self.parent.flats_of_rank(k - 1)
-            if 1 <= k <= self.parent.full_rank + 1
-            else []
-        )
+        # search would refuse too, so its SizeCapError passes through.  The
+        # extension has the parent's rank, so 1 <= k <= r(parent).
         e_bit = 1 << self.parent.n
         fm = self.fmask
-        out = []
-        for f in flats_k:
+        out, through_f = [], []
+        for f in self.parent.flats_of_rank(k):
             if fm & ~f:
                 out.append(f)          # flat avoiding the new element
             else:
                 out.append(f | e_bit)  # flat containing F absorbs it
-        for y in flats_k1:
-            if self.parent.rank(y | fm) >= self.parent.rank(y) + 2:
-                out.append(y | e_bit)  # new element sits above y, nothing collapses
+                through_f.append(f)
+        # The new element sits above a rank-(k-1) flat Y, nothing collapsing,
+        # when r(Y + F) >= r(Y) + 2: when no rank-k flat holds both Y and F.
+        for y in self.parent.flats_of_rank(k - 1):
+            if all(y & ~g for g in through_f):
+                out.append(y | e_bit)
         return out
 
 

@@ -23,6 +23,10 @@ signs are decided by integer arithmetic alone, never floats.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+from itertools import combinations
+
 from .errors import (
     LemmaViolationError,
     NotAnExtensionError,
@@ -348,23 +352,22 @@ def _line_minor_witness(m: Matroid, size: int) -> MinorWitness | None:
 def longest_line_minor(m: Matroid) -> int:
     """Largest k such that a k-point-line minor exists (0 when rank < 2).
 
-    Equals the maximum, over rank-(r-2) flats, of the number of hyperplanes
-    containing the flat: contracting a basis of the flat turns those
-    hyperplanes into the points of a rank-2 minor.
+    Equals the maximum, over colines (rank-(r-2) flats), of the number d of
+    hyperplanes containing the coline: contracting a basis of the coline
+    turns those hyperplanes into the points of a rank-2 minor.  Two distinct
+    hyperplanes through a coline meet in exactly that coline, and every
+    coline lies in at least two, so a coline on d hyperplanes is the meet of
+    d(d-1)/2 hyperplane pairs: the most pairs meeting in one rank-(r-2) set
+    give the largest d, and meets are tried for that rank most pairs first.
     """
     r = m.full_rank
     if r < 2:
         return 0
     if r == 2:
         return m.epsilon()
-    colines = m.flats_of_rank(r - 2)
-    hyps = m.flats_of_rank(r - 1)
-    best = 0
-    for co in colines:
-        deg = sum(1 for h in hyps if h | co == h)
-        if deg > best:
-            best = deg
-    return best
+    meets = Counter(h & g for h, g in combinations(m.flats_of_rank(r - 1), 2))
+    pairs = next(count for meet, count in meets.most_common() if m.rank(meet) == r - 2)
+    return (1 + math.isqrt(1 + 8 * pairs)) // 2
 
 
 # -- density dichotomy ------------------------------------------------------------------

@@ -304,7 +304,8 @@ _HUGE_PRIME = 999999999999999989
 ], ids=["GF", "from-parts", "from-parts-prime", "rep"])
 def test_field_order_cap_comes_before_trial_division(tmp_path, capsys, argv, message):
     # trial division of an 18-digit prime would run for minutes; the order
-    # cap refuses it first, with exit 2
+    # cap refuses it first, with exit 2, as a size cap: every order here is
+    # prime, so no schema reason calls it not a prime power
     if argv[0] == "eps":  # a linear document over GF(p), p = argv[1]
         path = tmp_path / "field.json"
         field = {"p": argv[1], "k": 1, "modulus": [0, 1]}
@@ -314,6 +315,7 @@ def test_field_order_cap_comes_before_trial_division(tmp_path, capsys, argv, mes
     assert code == 2
     assert out == ""
     assert message in err
+    assert "not-prime-power" not in err
 
 
 @pytest.mark.parametrize("argv, message", [

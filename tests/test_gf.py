@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mforge import GF, NotPrimePowerError, field_new, is_prime, prime_power
+from mforge import GF, NotPrimePowerError, SizeCapError, field_new, is_prime, prime_power
 
 
 def test_prime_power_factoring():
@@ -27,7 +27,8 @@ def test_non_prime_power_rejected():
         field_new(6)
     with pytest.raises(NotPrimePowerError):
         field_new(1)
-    with pytest.raises(NotPrimePowerError):
+    # 2^17 is a prime power: past the order cap it is refused as a size
+    with pytest.raises(SizeCapError, match="exceeds cap"):
         field_new(1 << 17)
 
 

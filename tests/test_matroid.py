@@ -13,12 +13,14 @@ from mforge import (
     Matroid,
     SizeCapError,
     bits,
+    corpus_generate,
     density_witness,
     direct_sum,
     field_new,
     free_spike,
     free_swirl,
     ksubset_masks,
+    longest_line_minor,
     mask_of,
     materialize_bases,
     parallel_connection,
@@ -557,6 +559,127 @@ def test_linear_rooted_minor_flats_delegate(monkeypatch):
     monkeypatch.setattr(Matroid, "_flats_impl", _refuse)
     for k, want in enumerate(generic):
         assert view.flats_of_rank(k) == want == _parent_delegated_flats(view, k)
+
+
+def _independent_set_flats(m, k):
+    """Rank-k flats as the distinct closures of the independent k-sets, each
+    closure by its rank-scan definition: the reference for the flat walk."""
+    found = set()
+
+    def dfs(cur, size, start):
+        if size == k:
+            found.add(Matroid._closure_mask(m, cur))
+            return
+        for e in range(start, m.n):
+            b = 1 << e
+            if m.rank(cur | b) == size + 1:
+                dfs(cur | b, size + 1, e + 1)
+
+    dfs(0, 0, 0)
+    return sorted(found)
+
+
+def _check_flat_walk(m, ref):
+    for k in range(m.full_rank + 1):
+        walked = Matroid._flats_impl(m, k)
+        assert len(set(walked)) == len(walked), "a flat reached twice"
+        assert sorted(walked) == _independent_set_flats(ref, k)
+
+
+@settings(max_examples=80)
+@given(_view_stacks())
+def test_flat_walk_matches_independent_set_search(pair):
+    # the generic search reaches each flat once, along its greedy basis, on
+    # every backend and view; the reference runs on a second copy
+    _check_flat_walk(*pair)
+
+
+def test_flat_walk_on_bases_lists():
+    # loops, coloops and parallel classes among the exchange families
+    checked = 0
+    for n, bases in _exchange_families(random.Random(12)):
+        bases = sorted(set(bases))
+        if _reference_exchange(n, bases) is None:
+            _check_flat_walk(BasesMatroid(n, bases), BasesMatroid(n, bases))
+            checked += 1
+    assert checked >= 40, checked
+
+
+def _coline_count_line(m):
+    """The most hyperplanes through one coline, counted coline by coline."""
+    r = m.full_rank
+    if r < 2:
+        return 0
+    if r == 2:
+        return m.epsilon()
+    hyps = m.flats_of_rank(r - 1)
+    return max(sum(1 for h in hyps if h | co == h) for co in m.flats_of_rank(r - 2))
+
+
+def test_longest_line_from_hyperplane_meets():
+    # U(3, n) and the rank-3 truncation of PG(3,3), whose hyperplanes are
+    # the 130 lines: most line pairs are skew, meeting in the empty set, so
+    # the meet met by the most pairs is not a coline
+    plane_lines = pg(4, 3).matroid.truncate(3)
+    assert longest_line_minor(plane_lines) == 13  # the lines through a point
+    cases = [uniform(3, n).matroid for n in (3, 4, 6, 9)] + [plane_lines]
+    for seed in (0, 23):
+        cases += [nm.matroid for nm in corpus_generate(seed)]
+    for m in cases:
+        assert longest_line_minor(m) == _coline_count_line(m), m
+
+
+@settings(max_examples=60)
+@given(_view_stacks())
+def test_longest_line_on_view_stacks(pair):
+    m, ref = pair
+    assert longest_line_minor(m) == _coline_count_line(ref)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_extension_flats_match_generic_search(seed):
+    # a principal extension on a flat F of every rank, from a point to the
+    # ground set, of random linear parents (loops and parallel pairs) and
+    # their bases copies
+    rng = random.Random(seed)
+    for q, dim, n in ((2, 4, 7), (3, 3, 6), (5, 4, 7)):
+        lin = _random_linear(rng, q, dim, n)
+        for parent in (lin, materialize_bases(lin)):
+            for rank in range(1, parent.full_rank + 1):
+                f = rng.choice(parent.flats_of_rank(rank))
+                ext = parent.principal_extension(f)
+                fresh = parent.principal_extension(f)
+                for k in range(ext.full_rank + 1):
+                    assert ext.flats_of_rank(k) == sorted(Matroid._flats_impl(fresh, k))
+
+
+def test_linear_rooted_minor_skips_parent_flats_missing_the_contraction():
+    # the parent's flats of rank k + r(C) that miss C give no flat of the
+    # minor: random minors of sparse matroids (each with a loop and a
+    # parallel pair), and lemma6's shape, the new element of a principal
+    # extension deleted
+    rng = random.Random(5)
+    views = []
+    for q in (2, 3, 5):
+        m = _random_sparse(rng, q, 4, 8)
+        for _ in range(3):
+            roles = [rng.choice("kkcd") for _ in range(m.n)]
+            c = mask_of(e for e, role in enumerate(roles) if role == "c")
+            d = mask_of(e for e, role in enumerate(roles) if role == "d")
+            views.append(m.minor(c, d))
+    geom = pg(4, 2).matroid
+    ext = geom.principal_extension(geom.flats_of_rank(2)[3])
+    views += [ext.delete(1 << 15), ext.minor(contract=0b11, delete=1 << 15)]
+    missed = 0
+    for view in views:
+        if not isinstance(view, MinorView):
+            continue
+        assert view._linear_flats
+        _check_view_flats(view)
+        c = view.contract_mask
+        for k in range(view.full_rank + 1):
+            missed += sum(1 for f in view.parent.flats_of_rank(k + view._rc) if f & c != c)
+    assert missed > 0
 
 
 def test_loops_and_simplify():
