@@ -10,7 +10,8 @@ through a memoized rank oracle; concrete backends are
                   one int per point, and GF(3), two ints per point: the
                   positions holding 1 and those holding 2), point classes
                   and flats by point lookup
-  BasesMatroid    an explicit list of bases, rank r(X) = max |X & B|
+  BasesMatroid    an explicit list of bases, rank r(X) = |I| for I the greedy
+                  basis of X, from a capped set of the independent sets
 
 and lazy views (minor, dual, truncation, principal extension, direct sum,
 parallel connection) that compute rank through their parent's oracle.
@@ -23,8 +24,9 @@ leaves), and the other backends and views are exact too, with Xi the trace
 of X on side i, p the basepoint of a parallel connection or the new element
 of a principal extension on the flat F, and X' = X - p:
 
-  bases                 cl(X) = E minus the union of B - X over the
-                        bases B with |B & X| = r(X)
+  bases                 cl(X) = X plus each e with I + e dependent; past
+                        the table's cap, E minus the union of B - X over
+                        the bases B with |B & X| = r(X)
   minor M/C\\D           cl(X) = cl_M(X + C) - C - D
   truncation to rank t  cl(X) = cl_M(X) if r(X) < t, else the ground set
   principal extension   cl(X) = cl_M(X') + p if F lies in cl_M(X');
@@ -64,6 +66,7 @@ from .gf import GF
 
 GROUND_CAP = 4096   # rank queries only
 ENUM_CAP = 64       # flats / cocircuit enumeration
+INDEP_TABLE_CAP = 1 << 16  # a bases list's len(bases) << rank, bounding its independent sets
 CIRCUIT_CAP = 20
 BASES_VERIFY_CAP = 5000
 SUBSPACE_ENUM_CAP = 150_000
@@ -143,15 +146,21 @@ class Matroid:
             return (1 << self.n) - 1
         mask = X if isinstance(X, int) else mask_of(X)
         if mask < 0 or mask >> self.n:
-            raise ValueError(f"subset {bin(mask)} not within ground set of size {self.n}")
+            raise self._outside(mask)
         return mask
+
+    def _outside(self, mask: int) -> ValueError:
+        return ValueError(f"subset {bin(mask)} not within ground set of size {self.n}")
 
     def rank(self, X=None) -> int:
         if type(X) is int:
             # only validated masks are ever stored, so a hit needs no check
             r = self._memo.get(X)
-            if r is not None:
-                return r
+            if r is None:
+                if X < 0 or X >> self.n:
+                    raise self._outside(X)
+                r = self._memo[X] = self._rank_mask(X)
+            return r
         mask = self.as_mask(X)
         r = self._memo.get(mask)
         if r is None:
@@ -175,8 +184,11 @@ class Matroid:
         if type(X) is int:
             # memoized like rank: only validated masks are ever stored
             c = self._closures.get(X)
-            if c is not None:
-                return c
+            if c is None:
+                if X < 0 or X >> self.n:
+                    raise self._outside(X)
+                c = self._closures[X] = self._closure_mask(X)
+            return c
         mask = self.as_mask(X)
         c = self._closures.get(mask)
         if c is None:
@@ -713,7 +725,9 @@ class BasesMatroid(Matroid):
     """Matroid given by an explicit list of bases (as bitmasks or id lists).
 
     verify=True checks the basis-exchange axiom; more than BASES_VERIFY_CAP
-    bases raise SizeCapError rather than load unchecked.
+    bases raise SizeCapError rather than load unchecked.  Rank and closure read
+    X's greedy basis (Oxley, Matroid Theory, 1.8) off the set of independent
+    sets, built on first use while len(bases) << r is at most INDEP_TABLE_CAP.
     """
 
     def __init__(self, n: int, bases, verify: bool = True):
@@ -728,6 +742,7 @@ class BasesMatroid(Matroid):
             raise ValueError("basis outside ground set")
         self.bases = bs
         self._full_rank = r
+        self._indep: set[int] | tuple | None = None  # () past INDEP_TABLE_CAP
         if verify:
             if len(bs) > BASES_VERIFY_CAP:
                 raise SizeCapError(
@@ -767,7 +782,37 @@ class BasesMatroid(Matroid):
         full = (1 << self.n) - 1
         return list({full ^ c for _, c in self._fundamental_cocircuits()})
 
+    def _table(self) -> set[int] | tuple:
+        """The independent sets, each level the previous one less one element."""
+        if self._indep is None:
+            if len(self.bases) << self._full_rank > INDEP_TABLE_CAP:
+                _log_fallback("bases list scans for rank and closure: %d bases at rank %d "
+                              "exceed INDEP_TABLE_CAP", len(self.bases), self._full_rank)
+                self._indep = ()
+            else:
+                level = set(self.bases)
+                self._indep = table = set(level)
+                while level:
+                    level = {s & ~(1 << e) for s in level for e in bits(s)}
+                    table |= level
+        return self._indep
+
+    def _greedy_basis(self, flat_mask: int) -> int:
+        table = self._table()
+        if not table:
+            return super()._greedy_basis(flat_mask)
+        basis, k, r = 0, 0, self._full_rank
+        while flat_mask and k < r:
+            low = flat_mask & -flat_mask
+            flat_mask ^= low
+            if basis | low in table:
+                basis |= low
+                k += 1
+        return basis
+
     def _rank_mask(self, mask: int) -> int:
+        if self._table():
+            return self._greedy_basis(mask).bit_count()
         target = min(mask.bit_count(), self._full_rank)
         best = 0
         for b in self.bases:
@@ -779,8 +824,16 @@ class BasesMatroid(Matroid):
         return best
 
     def _closure_mask(self, mask: int) -> int:
-        """E minus B - X over the bases B with |B & X| = r(X): e outside X
-        is outside cl(X) exactly when such a basis holds it."""
+        """X and each e with I + e dependent, I the greedy basis of X; past
+        the cap, E minus B - X over the bases B with |B & X| = r(X): e outside
+        X is outside cl(X) exactly when such a basis holds it."""
+        table = self._table()
+        if table:
+            basis = self._greedy_basis(mask)
+            for e in bits(((1 << self.n) - 1) ^ mask):
+                if basis | 1 << e not in table:
+                    mask |= 1 << e
+            return mask
         r = self.rank(mask)
         reach = 0
         for b in self.bases:
@@ -794,6 +847,10 @@ class BasesMatroid(Matroid):
 
 class MinorView(Matroid):
     """M / contract \\ delete with ground relabeled to 0..m-1 in parent order.
+
+    The kept parent elements fall into runs of consecutive ids; each run is
+    stored once as (view start, parent start, width mask), so a mask moves
+    between the view and the parent by one shift and one AND per run.
 
     Flats come from the parent's flats when a LinearMatroid answers those
     (parent._linear_flats); otherwise the generic search runs on the minor's
@@ -809,22 +866,28 @@ class MinorView(Matroid):
         gone = contract_mask | delete_mask
         self.ground_map = tuple(e for e in range(parent.n) if not gone & (1 << e))
         super().__init__(len(self.ground_map))
-        self._lift = tuple(1 << e for e in self.ground_map)
-        self._kept = ((1 << parent.n) - 1) ^ gone
+        self._runs = []
+        rest, start = ((1 << parent.n) - 1) ^ gone, 0
+        while rest:
+            ps = (rest & -rest).bit_length() - 1
+            x = rest >> ps
+            w = (x ^ (x + 1)) >> 1  # the trailing ones of x
+            self._runs.append((start, ps, w))
+            rest ^= w << ps
+            start += w.bit_length()
         self._rc = parent.rank(contract_mask)
 
     def lift_mask(self, mask: int) -> int:
         out = 0
-        for i in bits(mask):
-            out |= self._lift[i]
+        for vs, ps, w in self._runs:
+            out |= ((mask >> vs) & w) << ps
         return out
 
     def _drop_mask(self, pmask: int) -> int:
         """The view's mask of the kept parent elements in pmask."""
-        kept = self._kept
         out = 0
-        for e in bits(pmask & kept):
-            out |= 1 << (kept & ((1 << e) - 1)).bit_count()
+        for vs, ps, w in self._runs:
+            out |= ((pmask >> ps) & w) << vs
         return out
 
     def _rank_mask(self, mask: int) -> int:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -428,3 +429,20 @@ def test_verify_help_lists_every_suite(capsys):
     assert exc.value.code == 0
     text = "".join(capsys.readouterr().out.split())
     assert "oneof:" + ",".join(sorted(SUITES)) in text
+
+
+def test_bases_document_past_the_table_cap(tmp_path, capsys):
+    # U(30,31): 31 bases at rank 30 bound 31 << 30 independent sets, far past
+    # INDEP_TABLE_CAP, so rank and closure scan the bases list
+    path = tmp_path / "u3031.json"
+    save_path(mforge.BasesMatroid(31, list(mforge.ksubset_masks(31, 30))), str(path))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "eps", str(path))
+    assert (code, json.loads(out)) == (0, {"epsilon": 31, "n": 31, "rank": 30})
+    code, out, _ = run(capsys, "density", str(path), "--q", "2")
+    assert code == 1
+    assert json.loads(out) == {"dense": False, "epsilon": 31, "q": 2, "threshold": 1073741823}
+    assert time.perf_counter() - start < 2
+    code, out, err = run(capsys, "iso", str(path), str(path))
+    assert (code, out) == (2, "")
+    assert "isomorphism search needs n <= 20, got 31" in err

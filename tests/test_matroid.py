@@ -1,5 +1,6 @@
 import itertools
 import logging
+import math
 import random
 import re
 
@@ -31,8 +32,14 @@ from mforge import (
 )
 from mforge.matroid import (
     BASES_VERIFY_CAP,
+    INDEP_TABLE_CAP,
     SUBSPACE_ENUM_CAP,
+    DirectSumView,
+    DualView,
     MinorView,
+    ParallelConnectionView,
+    PrincipalExtensionView,
+    TruncationView,
     _gaussian_binomial,
     _point,
     push_pivot,
@@ -964,3 +971,203 @@ def test_rank_memo_is_pure_cache():
     r1 = [m.rank(x) for x in range(1 << 6)]
     r2 = [m.rank(x) for x in range(1 << 6)]
     assert r1 == r2
+
+
+# -- the independent-set table of a bases list --------------------------------------
+
+
+def _scan_rank(m, mask):
+    """BasesMatroid rank as a scan of its bases list: the largest |B & X|."""
+    target = min(mask.bit_count(), m.full_rank)
+    best = 0
+    for b in m.bases:
+        best = max(best, (b & mask).bit_count())
+        if best == target:
+            break
+    return best
+
+
+def _scan_closure(m, mask):
+    """E minus B - X over the bases B with |B & X| = r(X), by a scan."""
+    r = _scan_rank(m, mask)
+    reach = 0
+    for b in m.bases:
+        if (b & mask).bit_count() == r:
+            reach |= b
+    return ((1 << m.n) - 1) ^ (reach & ~mask)
+
+
+@st.composite
+def _bases_lists(draw):
+    """Bases of a GF(2) or GF(3) matroid of at most 7 elements (loops,
+    parallel pairs and rank 0 among them), with a loop or a coloop added."""
+    lin = draw(_linear_matroids(fields=(2, 3), max_n=7))
+    n, bases = lin.n, materialize_bases(lin).bases
+    if draw(st.booleans()):
+        n += 1  # a loop: no basis holds it
+    if draw(st.booleans()):
+        bases = [b | 1 << n for b in bases]  # a coloop: every basis holds it
+        n += 1
+    return n, bases
+
+
+@settings(max_examples=120)
+@given(_bases_lists())
+@example((3, [0]))
+@example((4, [0b1111]))
+def test_independent_set_table_matches_scan(case):
+    n, bases = case
+    m = BasesMatroid(n, bases, verify=True)
+    full = (1 << n) - 1
+    ranks = [max((x & b).bit_count() for b in bases) for x in range(1 << n)]
+    for x in range(1 << n):
+        assert m.rank(x) == _scan_rank(m, x) == ranks[x]
+        assert m.independent(x) == any(x & b == x for b in bases)
+        want = x | mask_of(e for e in range(n) if ranks[x | 1 << e] == ranks[x])
+        assert m.closure(x) == _scan_closure(m, x) == want
+    assert isinstance(m._indep, set) and len(m._indep) <= len(bases) << m.full_rank
+    r = m.full_rank
+    hyperplanes = sorted(x for x in range(1 << n) if ranks[x] == r - 1
+                         and all(ranks[x | 1 << e] == r for e in bits(full ^ x)))
+    assert m.hyperplanes() == hyperplanes
+
+
+def test_independent_set_table_cap_boundary(monkeypatch, caplog):
+    # U(2,4): 6 bases at rank 2 bound the table by 24 entries
+    monkeypatch.setattr("mforge.matroid.INDEP_TABLE_CAP", 24)
+    at_cap = uniform(2, 4).matroid
+    assert at_cap.rank(0b1111) == 2
+    assert at_cap._indep == set(m for m in range(16) if m.bit_count() <= 2)
+    monkeypatch.setattr("mforge.matroid.INDEP_TABLE_CAP", 23)
+    with caplog.at_level(logging.DEBUG, logger="mforge"):
+        past = uniform(2, 4).matroid
+        assert [past.rank(x) for x in range(16)] == [min(x.bit_count(), 2) for x in range(16)]
+    assert past._indep == ()
+    assert len(caplog.records) == 1
+
+
+@pytest.mark.parametrize("r, n", [(20, 22), (30, 31)])
+def test_bases_lists_past_the_table_cap_scan(r, n, caplog):
+    assert (math.comb(n, r) << r) > INDEP_TABLE_CAP
+    full = (1 << n) - 1
+    xs = [0, 1, full, full ^ 1, full ^ 0b11, (full >> 1) ^ 0b100, 0b1010101010]
+    with caplog.at_level(logging.DEBUG, logger="mforge"):
+        m = BasesMatroid(n, list(ksubset_masks(n, r)), verify=False)
+        for x in xs:
+            assert m.rank(x) == min(x.bit_count(), r)
+            assert m.closure(x) == (full if x.bit_count() >= r else x)
+        assert m.independent(full ^ 0b11) == (n - 2 <= r)
+        assert m.epsilon() == n
+    assert m._indep == ()
+    records = [rec for rec in caplog.records if rec.name == "mforge"]
+    assert len(records) == 1
+    assert "bases list scans for rank and closure" in records[0].getMessage()
+
+
+# -- one memo lookup per query ---------------------------------------------------------
+
+
+def _one_of_each_class():
+    lin = pg(3, 2).matroid
+    bases = materialize_bases(uniform(2, 4).matroid)
+    return [
+        lin,
+        bases,
+        MinorView(lin, 0b1, 0b10),
+        DualView(bases),
+        TruncationView(lin, 2),
+        PrincipalExtensionView(lin, 0b111),
+        DirectSumView(bases, uniform(1, 2).matroid),
+        ParallelConnectionView(lin, pg(3, 2).matroid, 0, 0),
+    ]
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_rank_and_closure_refuse_before_they_store(index):
+    m = _one_of_each_class()[index]
+    memo, closures = dict(m._memo), dict(m._closures)
+    for bad in (1 << m.n, {m.n}, [0, m.n + 3], -1):
+        for query in (m.rank, m.closure):
+            with pytest.raises(ValueError, match="not within ground set of size"):
+                query(bad)
+    with pytest.raises(ValueError, match=re.escape(f"subset {bin(1 << m.n)} not within ")):
+        m.closure(1 << m.n)
+    with pytest.raises(ValueError, match=re.escape("subset -0b1 not within ")):
+        m.rank(-1)
+    assert m._memo == memo and m._closures == closures
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_memo_hits_skip_the_kernels(index, monkeypatch):
+    m = _one_of_each_class()[index]
+    cls = type(m)
+    calls = {"rank": 0, "closure": 0}
+
+    def counting(kind, kernel):
+        def wrapped(self, mask):
+            if self is m:
+                calls[kind] += 1
+            return kernel(self, mask)
+        return wrapped
+
+    monkeypatch.setattr(cls, "_rank_mask", counting("rank", cls._rank_mask))
+    monkeypatch.setattr(cls, "_closure_mask", counting("closure", cls._closure_mask))
+    x = next(x for x in range(1, 1 << m.n) if x not in m._memo and x not in m._closures)
+    want = (m.rank(x), m.closure(x))
+    before = dict(calls)
+    assert before["closure"] == 1 and before["rank"] >= 1  # a dual's closure asks ranks
+    for _ in range(3):
+        assert (m.rank(x), m.closure(x)) == want
+        assert (m.rank(bits(x)), m.closure(bits(x))) == want
+    assert calls == before
+
+
+# -- minor masks by runs ------------------------------------------------------------
+
+
+def _bitwise_lift(ground_map, mask):
+    out = 0
+    for i in bits(mask):
+        out |= 1 << ground_map[i]
+    return out
+
+
+def _bitwise_drop(kept, pmask):
+    out = 0
+    for e in bits(pmask & kept):
+        out |= 1 << (kept & ((1 << e) - 1)).bit_count()
+    return out
+
+
+def _gone_masks(rng):
+    """(contract, delete) pairs on 1 <= n <= 20: gaps at bit 0, at the top bit
+    and on alternating bits, one run of width n - 1, and random pairs."""
+    for n in range(1, 21):
+        full = (1 << n) - 1
+        alternating = full & 0x55555
+        for gone in (1, 1 << (n - 1), alternating, full ^ alternating, full, 0,
+                     1 | 1 << (n - 1)):
+            split = rng.randrange(1 << n) & gone
+            yield n, split, gone ^ split
+        for _ in range(20):
+            gone = rng.randrange(1 << n)
+            split = rng.randrange(1 << n) & gone
+            yield n, split, gone ^ split
+
+
+def test_minor_run_masks_match_the_bit_loop():
+    rng = random.Random(19)
+    widths = set()
+    for n, contract, delete in _gone_masks(rng):
+        free = LinearMatroid(field_new(2), [tuple(int(i == j) for i in range(n)) for j in range(n)])
+        view = MinorView(free, contract, delete)
+        kept = ((1 << n) - 1) ^ contract ^ delete
+        assert view.n == kept.bit_count()
+        widths.update(w.bit_length() for _, _, w in view._runs)
+        for x in [0, (1 << view.n) - 1] + [rng.randrange(1 << view.n) for _ in range(30)]:
+            lifted = view.lift_mask(x)
+            assert lifted == _bitwise_lift(view.ground_map, x)
+            assert view._drop_mask(lifted) == x
+        for p in [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(30)]:
+            assert view._drop_mask(p) == _bitwise_drop(kept, p)
+    assert 19 in widths and 1 in widths
