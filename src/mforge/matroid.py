@@ -66,7 +66,7 @@ from .gf import GF
 
 GROUND_CAP = 4096   # rank queries only
 ENUM_CAP = 64       # flats / cocircuit enumeration
-INDEP_TABLE_CAP = 1 << 16  # a bases list's len(bases) << rank, bounding its independent sets
+INDEP_TABLE_CAP = 1 << 16  # len(bases) << rank, bounding a bases list's table and its build
 CIRCUIT_CAP = 20
 BASES_VERIFY_CAP = 5000
 SUBSPACE_ENUM_CAP = 150_000
@@ -153,19 +153,13 @@ class Matroid:
         return ValueError(f"subset {bin(mask)} not within ground set of size {self.n}")
 
     def rank(self, X=None) -> int:
-        if type(X) is int:
-            # only validated masks are ever stored, so a hit needs no check
-            r = self._memo.get(X)
-            if r is None:
-                if X < 0 or X >> self.n:
-                    raise self._outside(X)
-                r = self._memo[X] = self._rank_mask(X)
-            return r
-        mask = self.as_mask(X)
+        # only validated masks are ever stored, so a hit needs no check
+        mask = X if type(X) is int else self.as_mask(X)
         r = self._memo.get(mask)
         if r is None:
-            r = self._rank_mask(mask)
-            self._memo[mask] = r
+            if mask < 0 or mask >> self.n:
+                raise self._outside(mask)
+            r = self._memo[mask] = self._rank_mask(mask)
         return r
 
     @property
@@ -181,19 +175,13 @@ class Matroid:
     # -- closure and flats -----------------------------------------------------
 
     def closure(self, X) -> int:
-        if type(X) is int:
-            # memoized like rank: only validated masks are ever stored
-            c = self._closures.get(X)
-            if c is None:
-                if X < 0 or X >> self.n:
-                    raise self._outside(X)
-                c = self._closures[X] = self._closure_mask(X)
-            return c
-        mask = self.as_mask(X)
+        # memoized like rank: only validated masks are ever stored
+        mask = X if type(X) is int else self.as_mask(X)
         c = self._closures.get(mask)
         if c is None:
-            c = self._closure_mask(mask)
-            self._closures[mask] = c
+            if mask < 0 or mask >> self.n:
+                raise self._outside(mask)
+            c = self._closures[mask] = self._closure_mask(mask)
         return c
 
     def _closure_mask(self, mask: int) -> int:
@@ -727,7 +715,8 @@ class BasesMatroid(Matroid):
     verify=True checks the basis-exchange axiom; more than BASES_VERIFY_CAP
     bases raise SizeCapError rather than load unchecked.  Rank and closure read
     X's greedy basis (Oxley, Matroid Theory, 1.8) off the set of independent
-    sets, built on first use while len(bases) << r is at most INDEP_TABLE_CAP.
+    sets, built on first use when there are at least 2^r bases and
+    len(bases) << r, which bounds the table, is at most INDEP_TABLE_CAP.
     """
 
     def __init__(self, n: int, bases, verify: bool = True):
@@ -742,7 +731,7 @@ class BasesMatroid(Matroid):
             raise ValueError("basis outside ground set")
         self.bases = bs
         self._full_rank = r
-        self._indep: set[int] | tuple | None = None  # () past INDEP_TABLE_CAP
+        self._indep: set[int] | tuple | None = None  # () where the scan answers
         if verify:
             if len(bs) > BASES_VERIFY_CAP:
                 raise SizeCapError(
@@ -783,18 +772,26 @@ class BasesMatroid(Matroid):
         return list({full ^ c for _, c in self._fundamental_cocircuits()})
 
     def _table(self) -> set[int] | tuple:
-        """The independent sets, each level the previous one less one element."""
+        """The independent sets, each level the previous one less one element.
+
+        With fewer than 2^r bases the scan answers instead: it stops at the first
+        basis meeting X in min(|X|, r) elements and measured cheaper than a table
+        query on such lists, so their table would never pay back its build."""
         if self._indep is None:
-            if len(self.bases) << self._full_rank > INDEP_TABLE_CAP:
+            nb, r = len(self.bases), self._full_rank
+            if nb << r > INDEP_TABLE_CAP:
                 _log_fallback("bases list scans for rank and closure: %d bases at rank %d "
-                              "exceed INDEP_TABLE_CAP", len(self.bases), self._full_rank)
+                              "exceed INDEP_TABLE_CAP", nb, r)
+                self._indep = ()
+            elif nb < 1 << r:
                 self._indep = ()
             else:
                 level = set(self.bases)
-                self._indep = table = set(level)
+                table = set(level)
                 while level:
                     level = {s & ~(1 << e) for s in level for e in bits(s)}
                     table |= level
+                self._indep = table  # only once whole, so a cut build leaves None
         return self._indep
 
     def _greedy_basis(self, flat_mask: int) -> int:
@@ -824,8 +821,8 @@ class BasesMatroid(Matroid):
         return best
 
     def _closure_mask(self, mask: int) -> int:
-        """X and each e with I + e dependent, I the greedy basis of X; past
-        the cap, E minus B - X over the bases B with |B & X| = r(X): e outside
+        """X and each e with I + e dependent, I the greedy basis of X; without
+        a table, E minus B - X over the bases B with |B & X| = r(X): e outside
         X is outside cl(X) exactly when such a basis holds it."""
         table = self._table()
         if table:

@@ -1017,19 +1017,25 @@ def _bases_lists(draw):
 @example((4, [0b1111]))
 def test_independent_set_table_matches_scan(case):
     n, bases = case
-    m = BasesMatroid(n, bases, verify=True)
     full = (1 << n) - 1
     ranks = [max((x & b).bit_count() for b in bases) for x in range(1 << n)]
-    for x in range(1 << n):
-        assert m.rank(x) == _scan_rank(m, x) == ranks[x]
-        assert m.independent(x) == any(x & b == x for b in bases)
-        want = x | mask_of(e for e in range(n) if ranks[x | 1 << e] == ranks[x])
-        assert m.closure(x) == _scan_closure(m, x) == want
-    assert isinstance(m._indep, set) and len(m._indep) <= len(bases) << m.full_rank
-    r = m.full_rank
+    indep = {x for x in range(1 << n) if any(x & b == x for b in bases)}
+    built = BasesMatroid(n, bases, verify=True)
+    # the same list answering from a table of independent sets by definition,
+    # so the table path is checked also where the list has fewer than 2^r bases
+    injected = BasesMatroid(n, bases, verify=True)
+    injected._indep = set(indep)
+    r = injected.full_rank
     hyperplanes = sorted(x for x in range(1 << n) if ranks[x] == r - 1
                          and all(ranks[x | 1 << e] == r for e in bits(full ^ x)))
-    assert m.hyperplanes() == hyperplanes
+    for m in (built, injected):
+        for x in range(1 << n):
+            assert m.rank(x) == _scan_rank(m, x) == ranks[x]
+            assert m.independent(x) == (x in indep)
+            want = x | mask_of(e for e in range(n) if ranks[x | 1 << e] == ranks[x])
+            assert m.closure(x) == _scan_closure(m, x) == want
+        assert m.hyperplanes() == hyperplanes
+    assert built._indep == (indep if len(bases) >= 1 << r else ())
 
 
 def test_independent_set_table_cap_boundary(monkeypatch, caplog):
@@ -1044,6 +1050,41 @@ def test_independent_set_table_cap_boundary(monkeypatch, caplog):
         assert [past.rank(x) for x in range(16)] == [min(x.bit_count(), 2) for x in range(16)]
     assert past._indep == ()
     assert len(caplog.records) == 1
+
+
+def test_cut_table_build_keeps_no_partial_table(monkeypatch):
+    # a build stopped after its top levels must not be taken as the whole table
+    import mforge.matroid as mm
+
+    m = uniform(2, 4).matroid
+    calls, real_bits = [], mm.bits
+
+    def failing_bits(mask):
+        calls.append(mask)
+        if len(calls) > 6:  # past the bases' level, inside the next one
+            raise MemoryError
+        return real_bits(mask)
+
+    monkeypatch.setattr(mm, "bits", failing_bits)
+    with pytest.raises(MemoryError):
+        m.rank(0b0001)
+    assert m._indep is None and not m._memo
+    monkeypatch.setattr(mm, "bits", real_bits)
+    assert [m.rank(x) for x in range(16)] == [min(x.bit_count(), 2) for x in range(16)]
+    assert [m.closure(x) for x in range(16)] == [x if x.bit_count() < 2 else 15 for x in range(16)]
+
+
+@pytest.mark.parametrize("r, n", [(0, 3), (2, 4), (2, 3), (4, 4), (12, 13), (16, 16)])
+def test_table_needs_two_to_the_rank_bases(r, n, caplog):
+    # with fewer bases the early-stopping scan is the cheaper path: no table, no record
+    with caplog.at_level(logging.DEBUG, logger="mforge"):
+        m = BasesMatroid(n, list(ksubset_masks(n, r)), verify=False)
+        xs = range(1 << n) if n <= 4 else [0, 1, 0b111, (1 << n) - 1, (1 << n) - 2]
+        for x in xs:
+            assert m.rank(x) == min(x.bit_count(), r)
+            assert m.closure(x) == (x if x.bit_count() < r else (1 << n) - 1)
+    assert (m._indep == ()) == (math.comb(n, r) < 1 << r)
+    assert not caplog.records
 
 
 @pytest.mark.parametrize("r, n", [(20, 22), (30, 31)])
