@@ -10,8 +10,8 @@ through a memoized rank oracle; concrete backends are
                   one int per point, and GF(3), two ints per point: the
                   positions holding 1 and those holding 2), point classes
                   and flats by point lookup
-  BasesMatroid    an explicit list of bases, rank r(X) = |I| for I the greedy
-                  basis of X, from a capped set of the independent sets
+  BasesMatroid    an explicit list of bases, rank r(X) = |B & X| for B the
+                  basis one exchange pass from the first basis reaches
 
 and lazy views (minor, dual, truncation, principal extension, direct sum,
 parallel connection) that compute rank through their parent's oracle.
@@ -24,9 +24,9 @@ leaves), and the other backends and views are exact too, with Xi the trace
 of X on side i, p the basepoint of a parallel connection or the new element
 of a principal extension on the flat F, and X' = X - p:
 
-  bases                 cl(X) = X plus each e with I + e dependent; past
-                        the table's cap, E minus the union of B - X over
-                        the bases B with |B & X| = r(X)
+  bases                 cl(X) = X plus the loops plus each e outside X and
+                        B with no y in B - X making B - y + e a basis, B
+                        the basis whose part B & X spans X
   minor M/C\\D           cl(X) = cl_M(X + C) - C - D
   truncation to rank t  cl(X) = cl_M(X) if r(X) < t, else the ground set
   principal extension   cl(X) = cl_M(X') + p if F lies in cl_M(X');
@@ -49,7 +49,7 @@ ground set, which is smaller than its parent's and one rank lower per
 contracted element.
 
 All matroids are immutable after construction.  The only mutable state is
-the per-instance rank memo, which behaves as a pure cache.
+the per-instance rank and closure memos, which behave as pure caches.
 
 Enumerative operations are capped: flats and cocircuits need ground sets of at
 most ENUM_CAP elements (a bases list's hyperplanes excepted), circuits at most
@@ -66,7 +66,6 @@ from .gf import GF
 
 GROUND_CAP = 4096   # rank queries only
 ENUM_CAP = 64       # flats / cocircuit enumeration
-INDEP_TABLE_CAP = 1 << 16  # len(bases) << rank, bounding a bases list's table and its build
 CIRCUIT_CAP = 20
 BASES_VERIFY_CAP = 5000
 SUBSPACE_ENUM_CAP = 150_000
@@ -81,6 +80,8 @@ def _log_fallback(msg: str, *args) -> None:
 
 def bits(mask: int) -> list[int]:
     """Element ids present in a bitmask, ascending."""
+    if mask < 0:  # clearing the lowest bit of a negative int never ends
+        raise ValueError(f"negative mask {mask}")
     out = []
     while mask:
         low = mask & -mask
@@ -91,6 +92,8 @@ def bits(mask: int) -> list[int]:
 
 def _iter_bits(mask: int):
     """bits(mask) lazily, for loops that may stop early."""
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -120,6 +123,11 @@ def ksubset_masks(n: int, k: int):
         x = (((x ^ r) >> 2) // c) | r
 
 
+def check_ground(n: int) -> None:
+    if n < 0 or n > GROUND_CAP:
+        raise SizeCapError(f"ground size {n} outside [0, {GROUND_CAP}]")
+
+
 class Matroid:
     """Abstract rank oracle. Subclasses implement _rank_mask, and may
     implement _closure_mask."""
@@ -129,8 +137,7 @@ class Matroid:
     _linear_flats = False
 
     def __init__(self, n: int):
-        if n < 0 or n > GROUND_CAP:
-            raise SizeCapError(f"ground size {n} outside [0, {GROUND_CAP}]")
+        check_ground(n)
         self.n = n
         self._memo: dict[int, int] = {}
         self._closures: dict[int, int] = {}
@@ -713,10 +720,13 @@ class BasesMatroid(Matroid):
     """Matroid given by an explicit list of bases (as bitmasks or id lists).
 
     verify=True checks the basis-exchange axiom; more than BASES_VERIFY_CAP
-    bases raise SizeCapError rather than load unchecked.  Rank and closure read
-    X's greedy basis (Oxley, Matroid Theory, 1.8) off the set of independent
-    sets, built on first use when there are at least 2^r bases and
-    len(bases) << r, which bounds the table, is at most INDEP_TABLE_CAP.
+    bases raise SizeCapError rather than load unchecked.  verify=False means
+    the caller vouches that the list is a matroid's bases; rank and closure
+    are exact only then.  Documents loaded from outside are always verified.
+
+    Rank and closure read the basis that _exchange_basis reaches from the
+    first basis: at most r(n - r) lookups in the set of bases per query,
+    whatever the length of the list.
     """
 
     def __init__(self, n: int, bases, verify: bool = True):
@@ -730,8 +740,14 @@ class BasesMatroid(Matroid):
         if any(b >> n for b in bs):
             raise ValueError("basis outside ground set")
         self.bases = bs
+        self._bases = frozenset(bs)
+        union, common = 0, bs[0]
+        for b in bs:
+            union |= b
+            common &= b
+        # neither a loop (in no basis) nor a coloop (in every basis)
+        self._movable = union ^ common
         self._full_rank = r
-        self._indep: set[int] | tuple | None = None  # () where the scan answers
         if verify:
             if len(bs) > BASES_VERIFY_CAP:
                 raise SizeCapError(
@@ -741,12 +757,12 @@ class BasesMatroid(Matroid):
     def _fundamental_cocircuits(self):
         """(B, C*(B, x)) for each basis B, in order, and x in B, ascending: the y making
         B - x + y a basis, the cocircuit meeting B in x alone (Oxley, Matroid Theory, ch. 2)."""
-        full, bases_set = (1 << self.n) - 1, set(self.bases)
+        full, bases = (1 << self.n) - 1, self._bases
         for b in self.bases:
             outside = [1 << y for y in bits(full ^ b)]
             for x in bits(b):
                 base = b ^ (1 << x)
-                yield b, sum(y for y in outside if base | y in bases_set) | 1 << x
+                yield b, sum(y for y in outside if base | y in bases) | 1 << x
 
     def _verify_exchange(self):
         """Basis b2 misses C*(b1, x) exactly when x is not in b2 and no y in b2 - b1
@@ -771,72 +787,53 @@ class BasesMatroid(Matroid):
         full = (1 << self.n) - 1
         return list({full ^ c for _, c in self._fundamental_cocircuits()})
 
-    def _table(self) -> set[int] | tuple:
-        """The independent sets, each level the previous one less one element.
+    def _exchange_basis(self, mask: int) -> int:
+        """A basis B whose part B & X spans X, in one pass from the first basis.
 
-        With fewer than 2^r bases the scan answers instead: it stops at the first
-        basis meeting X in min(|X|, r) elements and measured cheaper than a table
-        query on such lists, so their table would never pay back its build."""
-        if self._indep is None:
-            nb, r = len(self.bases), self._full_rank
-            if nb << r > INDEP_TABLE_CAP:
-                _log_fallback("bases list scans for rank and closure: %d bases at rank %d "
-                              "exceed INDEP_TABLE_CAP", nb, r)
-                self._indep = ()
-            elif nb < 1 << r:
-                self._indep = ()
-            else:
-                level = set(self.bases)
-                table = set(level)
-                while level:
-                    level = {s & ~(1 << e) for s in level for e in bits(s)}
-                    table |= level
-                self._indep = table  # only once whole, so a cut build leaves None
-        return self._indep
-
-    def _greedy_basis(self, flat_mask: int) -> int:
-        table = self._table()
-        if not table:
-            return super()._greedy_basis(flat_mask)
-        basis, k, r = 0, 0, self._full_rank
-        while flat_mask and k < r:
-            low = flat_mask & -flat_mask
-            flat_mask ^= low
-            if basis | low in table:
-                basis |= low
-                k += 1
-        return basis
+        For each movable x in X - B, ascending, B becomes B - y + x for the first
+        movable y in B - X that keeps it a basis.  Such a y exists exactly when
+        the fundamental circuit of x in B leaves B & X (Oxley, Matroid Theory,
+        ch. 1), so an x that finds none lies in cl(B & X).  B & X only grows,
+        so after the pass every element of X - B lies in cl(B & X): a loop lies
+        in every closure and a coloop in every basis, and no fundamental circuit
+        holds a coloop, so only movable elements are swapped.
+        """
+        bases, b = self._bases, self.bases[0]
+        todo, spare = mask & self._movable & ~b, b & self._movable & ~mask
+        while todo and spare:
+            x = todo & -todo
+            todo ^= x
+            rest = spare
+            while rest:
+                y = rest & -rest
+                rest ^= y
+                if b ^ y | x in bases:
+                    b ^= y | x
+                    spare ^= y
+                    break
+        return b
 
     def _rank_mask(self, mask: int) -> int:
-        if self._table():
-            return self._greedy_basis(mask).bit_count()
-        target = min(mask.bit_count(), self._full_rank)
-        best = 0
-        for b in self.bases:
-            c = (b & mask).bit_count()
-            if c > best:
-                best = c
-                if best == target:
-                    break
-        return best
+        return (self._exchange_basis(mask) & mask).bit_count()
 
     def _closure_mask(self, mask: int) -> int:
-        """X and each e with I + e dependent, I the greedy basis of X; without
-        a table, E minus B - X over the bases B with |B & X| = r(X): e outside
-        X is outside cl(X) exactly when such a basis holds it."""
-        table = self._table()
-        if table:
-            basis = self._greedy_basis(mask)
-            for e in bits(((1 << self.n) - 1) ^ mask):
-                if basis | 1 << e not in table:
-                    mask |= 1 << e
-            return mask
-        r = self.rank(mask)
-        reach = 0
-        for b in self.bases:
-            if (b & mask).bit_count() == r:
-                reach |= b
-        return ((1 << self.n) - 1) ^ (reach & ~mask)
+        """X, the loops, and each movable e outside X and B for which no movable
+        y in B - X makes B - y + e a basis, B = _exchange_basis(X): B & X spans
+        X, so e outside B is in cl(X) exactly when its fundamental circuit in B
+        avoids B - X, and no element of B - X is in cl(B & X)."""
+        bases, b, movable = self._bases, self._exchange_basis(mask), self._movable
+        swaps = [b ^ 1 << y for y in bits(b & movable & ~mask)]
+        out = mask | ((1 << self.n) - 1) & ~(movable | b)
+        rest = movable & ~(mask | b)
+        while rest:
+            e = rest & -rest
+            rest ^= e
+            for s in swaps:
+                if s | e in bases:
+                    break
+            else:
+                out |= e
+        return out
 
 
 # -- views ---------------------------------------------------------------------------

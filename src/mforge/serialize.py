@@ -21,7 +21,8 @@ import json
 
 from .errors import NotPrimePowerError, SchemaError, SizeCapError
 from .gf import GF
-from .matroid import BASES_VERIFY_CAP, BasesMatroid, LinearMatroid, Matroid, bits, materialize_bases
+from .matroid import (BASES_VERIFY_CAP, BasesMatroid, LinearMatroid, Matroid, bits, check_ground,
+                      materialize_bases)
 
 _LINEAR_KEYS = {"kind", "field", "columns"}
 _FIELD_KEYS = {"p", "k", "modulus"}
@@ -93,6 +94,7 @@ def _bases_from_doc(doc: dict) -> BasesMatroid:
     _check_keys(doc, _BASES_KEYS, "bases matroid")
     rank = _require_int(doc, "rank")
     n = _require_int(doc, "n")
+    check_ground(n)  # before any mask is built: n sizes every mask
     raw = doc["bases"]
     if not isinstance(raw, list) or not raw:
         raise SchemaError("bad-value", "'bases' must be a nonempty list")

@@ -280,6 +280,15 @@ def test_unverifiable_bases_document_exits_two(tmp_path, capsys):
     assert err.startswith("mforge: exchange check needs at most 5000 bases, got 5006")
 
 
+def test_bases_document_past_the_ground_cap_exits_two(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"kind":"bases","rank":1,"n":400000001,'
+                    '"bases":[[400000000],[399999999],[399999998],[399999997]]}')
+    code, out, err = run(capsys, "eps", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("mforge: ground size 400000001 outside [0, 4096]")
+
+
 def test_internal_error_exits_two(capsys, monkeypatch):
     # a crash (here a constructor that overflows the recursion limit) must
     # not read as the clean negative exit 1
@@ -431,9 +440,9 @@ def test_verify_help_lists_every_suite(capsys):
     assert "oneof:" + ",".join(sorted(SUITES)) in text
 
 
-def test_bases_document_past_the_table_cap(tmp_path, capsys):
-    # U(30,31): 31 bases at rank 30 bound 31 << 30 independent sets, far past
-    # INDEP_TABLE_CAP, so rank and closure scan the bases list
+def test_bases_document_with_billions_of_independent_sets(tmp_path, capsys):
+    # U(30,31): 31 bases at rank 30, whose 2^31 - 1 independent sets no
+    # table could hold; each rank and closure query is one exchange pass
     path = tmp_path / "u3031.json"
     save_path(mforge.BasesMatroid(31, list(mforge.ksubset_masks(31, 30))), str(path))
     start = time.perf_counter()

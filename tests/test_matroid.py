@@ -1,6 +1,5 @@
 import itertools
 import logging
-import math
 import random
 import re
 
@@ -32,7 +31,6 @@ from mforge import (
 )
 from mforge.matroid import (
     BASES_VERIFY_CAP,
-    INDEP_TABLE_CAP,
     SUBSPACE_ENUM_CAP,
     DirectSumView,
     DualView,
@@ -41,6 +39,7 @@ from mforge.matroid import (
     PrincipalExtensionView,
     TruncationView,
     _gaussian_binomial,
+    _iter_bits,
     _point,
     push_pivot,
     span_rank,
@@ -55,6 +54,17 @@ def test_bit_helpers():
     assert bits(0b100101) == [0, 2, 5]
     assert sorted(ksubset_masks(4, 2)) == [0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100]
     assert list(ksubset_masks(3, 0)) == [0]
+
+
+def test_bits_refuses_a_negative_mask():
+    # clearing the lowest bit of a negative int never reaches 0
+    with pytest.raises(ValueError, match="negative mask -1"):
+        bits(-1)
+
+
+def test_iter_bits_refuses_a_negative_mask():
+    with pytest.raises(ValueError, match="negative mask -6"):
+        next(_iter_bits(-6))
 
 
 def test_subset_validation():
@@ -940,8 +950,13 @@ def test_bases_verification_above_cap_refuses():
 def test_rank_axioms_hold_detects_bad_function():
     good = rank_axioms_hold(FANO)
     assert good is None
-    bad = BasesMatroid(4, [0b0011, 0b1100], verify=False)
-    assert rank_axioms_hold(bad) is not None
+
+    class MaxMeet(Matroid):
+        # max |B & X| over {0011, 1100}, which is not a matroid's bases list
+        def _rank_mask(self, mask):
+            return max((b & mask).bit_count() for b in (0b0011, 0b1100))
+
+    assert rank_axioms_hold(MaxMeet(4)) is not None
 
 
 def test_materialize_bases_roundtrip():
@@ -973,7 +988,7 @@ def test_rank_memo_is_pure_cache():
     assert r1 == r2
 
 
-# -- the independent-set table of a bases list --------------------------------------
+# -- basis exchange for a bases list ---------------------------------------------------
 
 
 def _scan_rank(m, mask):
@@ -1000,7 +1015,8 @@ def _scan_closure(m, mask):
 @st.composite
 def _bases_lists(draw):
     """Bases of a GF(2) or GF(3) matroid of at most 7 elements (loops,
-    parallel pairs and rank 0 among them), with a loop or a coloop added."""
+    parallel pairs and rank 0 among them), with a loop or a coloop added,
+    relabelled so that any basis may come first."""
     lin = draw(_linear_matroids(fields=(2, 3), max_n=7))
     n, bases = lin.n, materialize_bases(lin).bases
     if draw(st.booleans()):
@@ -1008,101 +1024,109 @@ def _bases_lists(draw):
     if draw(st.booleans()):
         bases = [b | 1 << n for b in bases]  # a coloop: every basis holds it
         n += 1
-    return n, bases
+    perm = draw(st.permutations(range(n)))
+    return n, [mask_of(perm[e] for e in bits(b)) for b in bases]
+
+
+def _check_exchange(n, bases):
+    """Rank, independence, closure and hyperplanes on every subset, against
+    the scans and the definitions."""
+    full = (1 << n) - 1
+    ranks = [max((x & b).bit_count() for b in bases) for x in range(1 << n)]
+    indep = {x for x in range(1 << n) if any(x & b == x for b in bases)}
+    m = BasesMatroid(n, bases, verify=True)
+    r = m.full_rank
+    hyperplanes = sorted(x for x in range(1 << n) if ranks[x] == r - 1
+                         and all(ranks[x | 1 << e] == r for e in bits(full ^ x)))
+    for x in range(1 << n):
+        assert m.rank(x) == _scan_rank(m, x) == ranks[x]
+        assert m.independent(x) == (x in indep)
+        want = x | mask_of(e for e in range(n) if ranks[x | 1 << e] == ranks[x])
+        assert m.closure(x) == _scan_closure(m, x) == want
+        # B & X spans X, for B the basis the exchange pass reaches
+        basis = m._exchange_basis(x)
+        assert basis in m._bases and (basis & x).bit_count() == ranks[x]
+    assert m.hyperplanes() == hyperplanes
 
 
 @settings(max_examples=120)
 @given(_bases_lists())
 @example((3, [0]))
 @example((4, [0b1111]))
-def test_independent_set_table_matches_scan(case):
-    n, bases = case
+def test_basis_exchange_matches_definitions(case):
+    _check_exchange(*case)
+
+
+@pytest.mark.parametrize("name", ["spike4", "swirl4", "U(3,7)", "fano", "gf3"])
+def test_basis_exchange_on_relabelled_lists(name):
+    # random relabellings of small matroids with many bases, so the first
+    # basis, the order of X - B and the loops and coloops all vary
+    rng = random.Random(name)
+    if name == "gf3":  # a loop, a parallel pair and a coloop over GF(3)
+        m = LinearMatroid(field_new(3), [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0),
+                                         (1, 1, 0), (1, 2, 0), (0, 0, 1)])
+    else:
+        m = {"spike4": free_spike(4), "swirl4": free_swirl(4), "U(3,7)": uniform(3, 7),
+             "fano": pg(3, 2)}[name].matroid
+    bases = materialize_bases(m).bases
+    for _ in range(6):
+        perm = list(range(m.n))
+        rng.shuffle(perm)
+        _check_exchange(m.n, [mask_of(perm[e] for e in bits(b)) for b in bases])
+
+
+def _coloops_and_line(c, k):
+    """c coloops 0..c-1 and U(1,k) on c..c+k-1: bases with one element of the line each."""
+    return c + k, [((1 << c) - 1) | 1 << (c + i) for i in range(k)]
+
+
+@pytest.mark.parametrize("n, bases", [
+    (3, list(ksubset_masks(3, 0))),
+    (16, list(ksubset_masks(16, 16))),
+    (13, list(ksubset_masks(13, 12))),
+    (22, list(ksubset_masks(22, 20))),
+    (31, list(ksubset_masks(31, 30))),
+    (16, list(ksubset_masks(16, 8))),
+    _coloops_and_line(19, 21),
+    _coloops_and_line(30, 10),
+], ids=["U(0,3)", "U(16,16)", "U(12,13)", "U(20,22)", "U(30,31)", "U(8,16)",
+        "19coloops+U(1,21)", "30coloops+U(1,10)"])
+def test_basis_exchange_on_fixed_lists(n, bases):
+    m = BasesMatroid(n, bases, verify=False)
     full = (1 << n) - 1
-    ranks = [max((x & b).bit_count() for b in bases) for x in range(1 << n)]
-    indep = {x for x in range(1 << n) if any(x & b == x for b in bases)}
-    built = BasesMatroid(n, bases, verify=True)
-    # the same list answering from a table of independent sets by definition,
-    # so the table path is checked also where the list has fewer than 2^r bases
-    injected = BasesMatroid(n, bases, verify=True)
-    injected._indep = set(indep)
-    r = injected.full_rank
-    hyperplanes = sorted(x for x in range(1 << n) if ranks[x] == r - 1
-                         and all(ranks[x | 1 << e] == r for e in bits(full ^ x)))
-    for m in (built, injected):
-        for x in range(1 << n):
-            assert m.rank(x) == _scan_rank(m, x) == ranks[x]
-            assert m.independent(x) == (x in indep)
-            want = x | mask_of(e for e in range(n) if ranks[x | 1 << e] == ranks[x])
-            assert m.closure(x) == _scan_closure(m, x) == want
-        assert m.hyperplanes() == hyperplanes
-    assert built._indep == (indep if len(bases) >= 1 << r else ())
-
-
-def test_independent_set_table_cap_boundary(monkeypatch, caplog):
-    # U(2,4): 6 bases at rank 2 bound the table by 24 entries
-    monkeypatch.setattr("mforge.matroid.INDEP_TABLE_CAP", 24)
-    at_cap = uniform(2, 4).matroid
-    assert at_cap.rank(0b1111) == 2
-    assert at_cap._indep == set(m for m in range(16) if m.bit_count() <= 2)
-    monkeypatch.setattr("mforge.matroid.INDEP_TABLE_CAP", 23)
-    with caplog.at_level(logging.DEBUG, logger="mforge"):
-        past = uniform(2, 4).matroid
-        assert [past.rank(x) for x in range(16)] == [min(x.bit_count(), 2) for x in range(16)]
-    assert past._indep == ()
-    assert len(caplog.records) == 1
-
-
-def test_cut_table_build_keeps_no_partial_table(monkeypatch):
-    # a build stopped after its top levels must not be taken as the whole table
-    import mforge.matroid as mm
-
-    m = uniform(2, 4).matroid
-    calls, real_bits = [], mm.bits
-
-    def failing_bits(mask):
-        calls.append(mask)
-        if len(calls) > 6:  # past the bases' level, inside the next one
-            raise MemoryError
-        return real_bits(mask)
-
-    monkeypatch.setattr(mm, "bits", failing_bits)
-    with pytest.raises(MemoryError):
-        m.rank(0b0001)
-    assert m._indep is None and not m._memo
-    monkeypatch.setattr(mm, "bits", real_bits)
-    assert [m.rank(x) for x in range(16)] == [min(x.bit_count(), 2) for x in range(16)]
-    assert [m.closure(x) for x in range(16)] == [x if x.bit_count() < 2 else 15 for x in range(16)]
+    rng = random.Random(n * len(bases))
+    xs = [0, 1, full, full ^ 1, full ^ 0b11, full >> 1, (1 << n // 2) - 1, 0b1010101010 & full]
+    xs += [rng.getrandbits(n) for _ in range(150)]
+    for x in xs:
+        assert m.rank(x) == _scan_rank(m, x)
+        assert m.closure(x) == _scan_closure(m, x)
+    # closure by definition, on a few masks: X and every e with r(X + e) = r(X)
+    for x in xs[:20]:
+        r = _scan_rank(m, x)
+        assert m.closure(x) == x | mask_of(e for e in range(n) if _scan_rank(m, x | 1 << e) == r)
 
 
 @pytest.mark.parametrize("r, n", [(0, 3), (2, 4), (2, 3), (4, 4), (12, 13), (16, 16)])
-def test_table_needs_two_to_the_rank_bases(r, n, caplog):
-    # with fewer bases the early-stopping scan is the cheaper path: no table, no record
-    with caplog.at_level(logging.DEBUG, logger="mforge"):
-        m = BasesMatroid(n, list(ksubset_masks(n, r)), verify=False)
-        xs = range(1 << n) if n <= 4 else [0, 1, 0b111, (1 << n) - 1, (1 << n) - 2]
-        for x in xs:
-            assert m.rank(x) == min(x.bit_count(), r)
-            assert m.closure(x) == (x if x.bit_count() < r else (1 << n) - 1)
-    assert (m._indep == ()) == (math.comb(n, r) < 1 << r)
-    assert not caplog.records
+def test_table_needs_two_to_the_rank_bases(r, n):
+    # uniform lists with fewer and with more than 2^r bases answer alike
+    m = BasesMatroid(n, list(ksubset_masks(n, r)), verify=False)
+    xs = range(1 << n) if n <= 4 else [0, 1, 0b111, (1 << n) - 1, (1 << n) - 2]
+    for x in xs:
+        assert m.rank(x) == min(x.bit_count(), r)
+        assert m.closure(x) == (x if x.bit_count() < r else (1 << n) - 1)
 
 
 @pytest.mark.parametrize("r, n", [(20, 22), (30, 31)])
-def test_bases_lists_past_the_table_cap_scan(r, n, caplog):
-    assert (math.comb(n, r) << r) > INDEP_TABLE_CAP
+def test_bases_lists_past_the_table_cap_scan(r, n):
+    # lists whose independent sets number far past 2^16
     full = (1 << n) - 1
     xs = [0, 1, full, full ^ 1, full ^ 0b11, (full >> 1) ^ 0b100, 0b1010101010]
-    with caplog.at_level(logging.DEBUG, logger="mforge"):
-        m = BasesMatroid(n, list(ksubset_masks(n, r)), verify=False)
-        for x in xs:
-            assert m.rank(x) == min(x.bit_count(), r)
-            assert m.closure(x) == (full if x.bit_count() >= r else x)
-        assert m.independent(full ^ 0b11) == (n - 2 <= r)
-        assert m.epsilon() == n
-    assert m._indep == ()
-    records = [rec for rec in caplog.records if rec.name == "mforge"]
-    assert len(records) == 1
-    assert "bases list scans for rank and closure" in records[0].getMessage()
+    m = BasesMatroid(n, list(ksubset_masks(n, r)), verify=False)
+    for x in xs:
+        assert m.rank(x) == min(x.bit_count(), r)
+        assert m.closure(x) == (full if x.bit_count() >= r else x)
+    assert m.independent(full ^ 0b11) == (n - 2 <= r)
+    assert m.epsilon() == n
 
 
 # -- one memo lookup per query ---------------------------------------------------------

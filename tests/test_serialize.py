@@ -66,6 +66,25 @@ def test_documents_past_the_verify_cap_are_refused():
         matroid_to_json(plane)
 
 
+# four one-element bases on a ground of 400,000,001 elements: 107 bytes of JSON
+# whose masks would take about 50 MB each
+_HUGE_GROUND = ('{"kind":"bases","rank":1,"n":400000001,'
+                '"bases":[[400000000],[399999999],[399999998],[399999997]]}')
+
+
+def test_bases_loader_checks_the_ground_cap_before_building_masks():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match=r"^ground size 400000001 outside \[0, 4096\]$"):
+            matroid_from_json(_HUGE_GROUND)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_roundtrip_from_string():
     text = json.dumps(matroid_to_json(uniform(2, 4).matroid))
     back = matroid_from_json(text)
