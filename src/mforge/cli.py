@@ -4,15 +4,13 @@ Exit codes: 0 for pass/found/representable, 1 for fail/absent, 2 for
 usage or schema problems and for internal errors.  Reports are JSON lines
 (one case per line, summary last) so they diff cleanly between runs.
 
-Corpus caps can be set with --caps "max_ground=32,max_rank=6" or the
-MFORGE_CAPS environment variable (same syntax, --caps wins).
+Corpus caps are set with --caps "max_ground=32,max_rank=6".
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import MforgeError, SchemaError
@@ -85,14 +83,6 @@ def _parse_caps(text: str | None) -> dict:
         if out[key] < 1:
             raise SchemaError("bad-value", f"cap {key!r} must be at least 1, got {out[key]}")
     return out
-
-
-def _caps_from(args):
-    from .records import CorpusCaps
-
-    merged = _parse_caps(os.environ.get("MFORGE_CAPS"))
-    merged.update(_parse_caps(getattr(args, "caps", None)))
-    return CorpusCaps(**merged)
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -234,7 +224,9 @@ def _cmd_eventual_base(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    caps = _caps_from(args)
+    from .records import CorpusCaps
+
+    caps = CorpusCaps(**_parse_caps(args.caps))
     if args.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     from .suites import run_suite

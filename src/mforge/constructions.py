@@ -1,10 +1,10 @@
 """Named matroid constructions.
 
 Every constructor returns a NamedMatroid: the matroid itself plus a
-structured display tag ("PG(2,3)", "Spike(4)", ...), a human-readable
-recipe string, and a meta dict carrying the labels later code needs
-(leg pairs of spikes and swirls, basepoints of 2-sum chains, the flat
-and new-element id of principal extensions).
+structured display tag ("PG(2,3)", "Spike(4)", ...) and a meta dict
+carrying the labels later code needs (leg pairs of spikes and swirls,
+basepoints of 2-sum chains, the flat and new-element id of principal
+extensions).
 
 Projective points are normalized so the first nonzero coordinate is 1,
 and columns are ordered lexicographically by coordinate tuple with
@@ -19,13 +19,13 @@ from itertools import product
 from .errors import SizeCapError
 from .gf import GF
 from .matroid import (
-    GROUND_CAP,
     BasesMatroid,
     LinearMatroid,
     Matroid,
     MinorView,
     ParallelConnectionView,
     bits,
+    check_ground,
     ksubset_masks,
     mask_of,
 )
@@ -38,10 +38,10 @@ CHAIN_CAP = 300
 
 
 class NamedMatroid(FrozenRecord):
-    """A matroid with its display name, its recipe and a meta dict of labels
-    (a fresh {} by default)."""
+    """A matroid with its display name and a meta dict of labels (a fresh {}
+    by default)."""
 
-    __slots__ = ("matroid", "name", "provenance", "meta")
+    __slots__ = ("matroid", "name", "meta")
     _defaults = {"meta": dict}
 
     @property
@@ -73,12 +73,7 @@ def pg(n: int, q: int) -> NamedMatroid:
     if n > POINT_CAP or (q**n - 1) // (q - 1) > POINT_CAP:  # n first: q^n stays small
         raise SizeCapError(f"PG({n - 1},{q}) points exceed cap {POINT_CAP}")
     m = LinearMatroid(gf, projective_points(q, n))
-    return NamedMatroid(
-        m,
-        name=f"PG({n - 1},{q})",
-        provenance=f"one column per 1-dim subspace of GF({q})^{n}, "
-        "first nonzero coordinate 1, lexicographic order",
-    )
+    return NamedMatroid(m, name=f"PG({n - 1},{q})")
 
 
 def ag(n: int, q: int) -> NamedMatroid:
@@ -90,11 +85,7 @@ def ag(n: int, q: int) -> NamedMatroid:
         raise SizeCapError(f"AG({n - 1},{q}) points exceed cap {POINT_CAP}")
     cols = [(1,) + tail for tail in product(range(q), repeat=n - 1)]
     m = LinearMatroid(gf, cols)
-    return NamedMatroid(
-        m,
-        name=f"AG({n - 1},{q})",
-        provenance=f"points of GF({q})^{n - 1} homogenized as (1, v)",
-    )
+    return NamedMatroid(m, name=f"AG({n - 1},{q})")
 
 
 def uniform(r: int, n: int) -> NamedMatroid:
@@ -102,7 +93,7 @@ def uniform(r: int, n: int) -> NamedMatroid:
         raise ValueError(f"need 0 <= r <= n <= 20, got r={r} n={n}")
     bases = list(ksubset_masks(n, r))
     m = BasesMatroid(n, bases, verify=len(bases) <= 200)
-    return NamedMatroid(m, name=f"U({r},{n})", provenance=f"all {r}-subsets of {n} as bases")
+    return NamedMatroid(m, name=f"U({r},{n})")
 
 
 def theta_graph(k: int, q: int = 2) -> NamedMatroid:
@@ -114,8 +105,7 @@ def theta_graph(k: int, q: int = 2) -> NamedMatroid:
     """
     if k < 2:
         raise ValueError("need at least 2 paths")
-    if 2 * k > GROUND_CAP:  # before building 2k columns of length k + 2
-        raise SizeCapError(f"ground size {2 * k} outside [0, {GROUND_CAP}]")
+    check_ground(2 * k)  # before building 2k columns of length k + 2
     gf = GF(q)
     neg1 = gf.neg(1)
     rows = k + 2  # hub1, mid_1..mid_k, hub2
@@ -129,12 +119,7 @@ def theta_graph(k: int, q: int = 2) -> NamedMatroid:
         cols.append(tuple(b))
     m = LinearMatroid(gf, cols)
     pairs = [(2 * i, 2 * i + 1) for i in range(k)]
-    return NamedMatroid(
-        m,
-        name=f"Theta({k})",
-        provenance=f"signed incidence of the two-hub graph with {k} length-2 paths over GF({q})",
-        meta={"pairs": pairs},
-    )
+    return NamedMatroid(m, name=f"Theta({k})", meta={"pairs": pairs})
 
 
 def free_spike(k: int) -> NamedMatroid:
@@ -143,12 +128,7 @@ def free_spike(k: int) -> NamedMatroid:
         raise ValueError("spike rank must be at least 3")
     theta = theta_graph(k)
     m = theta.matroid.truncate(k)
-    return NamedMatroid(
-        m,
-        name=f"Spike({k})",
-        provenance=f"truncate({theta.name}, {k})",
-        meta={"pairs": theta.meta["pairs"]},
-    )
+    return NamedMatroid(m, name=f"Spike({k})", meta={"pairs": theta.meta["pairs"]})
 
 
 def parallel_connection(m1: Matroid, m2: Matroid, p1: int, p2: int) -> Matroid:
@@ -178,10 +158,7 @@ def two_sum_chain(k: int) -> NamedMatroid:
     m = cur.delete(internal) if internal else cur
     pairs = [(2 * i - 1, 2 * i) for i in range(1, k + 1)]
     return NamedMatroid(
-        m,
-        name=f"TwoSumChain({k})",
-        provenance=f"2-sum chain of {k} copies of U(2,4)",
-        meta={"x1": 0, "xk": 2 * k + 1, "pairs": pairs},
+        m, name=f"TwoSumChain({k})", meta={"x1": 0, "xk": 2 * k + 1, "pairs": pairs}
     )
 
 
@@ -201,12 +178,7 @@ def free_swirl(k: int) -> NamedMatroid:
     line = nk.closure(ends)
     m = nk.principal_truncation(line).delete(ends)
     pairs = [(2 * i, 2 * i + 1) for i in range(k)]
-    return NamedMatroid(
-        m,
-        name=f"Swirl({k})",
-        provenance=f"delete free ends from principal truncation of their span in {chain.name}",
-        meta={"pairs": pairs},
-    )
+    return NamedMatroid(m, name=f"Swirl({k})", meta={"pairs": pairs})
 
 
 def principal_geometry_extension(n: int, q: int, k: int) -> NamedMatroid:
@@ -217,17 +189,11 @@ def principal_geometry_extension(n: int, q: int, k: int) -> NamedMatroid:
     """
     if not 1 <= k <= n:
         raise ValueError(f"flat rank {k} outside [1, {n}]")
-    geom = pg(n, q)
-    base = geom.matroid
+    base = pg(n, q).matroid
     first_k = bits(base._greedy_basis((1 << base.n) - 1))[:k]
     flat = base.closure(mask_of(first_k))
     m = base.principal_extension(flat)
-    return NamedMatroid(
-        m,
-        name=f"P({n - 1},{q},{k})",
-        provenance=f"principal extension of {geom.name} on a rank-{k} flat",
-        meta={"flat": flat, "new": base.n},
-    )
+    return NamedMatroid(m, name=f"P({n - 1},{q},{k})", meta={"flat": flat, "new": base.n})
 
 
 def density_witness(q: int, cls: str, n: int) -> NamedMatroid:
@@ -240,25 +206,14 @@ def density_witness(q: int, cls: str, n: int) -> NamedMatroid:
     if n < 2:
         raise ValueError("rank must be at least 2")
     if cls == "L":
-        geom = pg(n, q)
-        return NamedMatroid(
-            geom.matroid, name=f"L({q},{n})", provenance=geom.provenance, meta=geom.meta
-        )
+        return NamedMatroid(pg(n, q).matroid, name=f"L({q},{n})")
     if cls == "Lcirc":
-        geom = pg(n + 1, q)
-        m = geom.matroid.truncate(n)
-        return NamedMatroid(
-            m, name=f"Lcirc({q},{n})", provenance=f"truncate({geom.name}, {n})"
-        )
+        m = pg(n + 1, q).matroid.truncate(n)
+        return NamedMatroid(m, name=f"Lcirc({q},{n})")
     if cls == "Llambda":
-        geom = pg(n + 1, q)
-        base = geom.matroid
+        base = pg(n + 1, q).matroid
         line = base.closure(mask_of((0, 1)))
         pt = base.principal_truncation(line)
         sim, _ = pt.simplify()
-        return NamedMatroid(
-            sim,
-            name=f"Llambda({q},{n})",
-            provenance=f"simplify(principal truncation of {geom.name} on a line)",
-        )
+        return NamedMatroid(sim, name=f"Llambda({q},{n})")
     raise ValueError(f"unknown class {cls!r}")

@@ -47,22 +47,14 @@ def descriptor(nm: NamedMatroid) -> str:
 def _nonsimple_bases_member() -> NamedMatroid:
     # U(2,4) with element 4 parallel to 3 and element 5 a loop.
     bs = [m for m in ksubset_masks(5, 2) if m != mask_of([3, 4])]
-    return NamedMatroid(
-        BasesMatroid(6, bs, verify=True),
-        name="U(2,4)+par+loop",
-        provenance="bases list: pairs of {0..4} minus {3,4}; 5 in no basis",
-    )
+    return NamedMatroid(BasesMatroid(6, bs, verify=True), name="U(2,4)+par+loop")
 
 
 def _nonsimple_linear_member() -> NamedMatroid:
     base = pg(3, 2)
     assert isinstance(base.matroid, LinearMatroid)
     cols = list(base.matroid.columns) + [(0, 0, 0), base.matroid.columns[0]]
-    return NamedMatroid(
-        LinearMatroid(base.matroid.field, cols),
-        name="PG(2,2)+par+loop",
-        provenance="PG(2,2) columns plus a zero column and a repeat of column 0",
-    )
+    return NamedMatroid(LinearMatroid(base.matroid.field, cols), name="PG(2,2)+par+loop")
 
 
 def corpus_generate(seed: int = 0, caps: CorpusCaps | None = None) -> list[NamedMatroid]:
@@ -100,13 +92,7 @@ def corpus_generate(seed: int = 0, caps: CorpusCaps | None = None) -> list[Named
 
     dual_sources = [pg(3, 2), uniform(2, 5)]
     for nm in dual_sources:
-        add(
-            NamedMatroid(
-                nm.matroid.dual(),
-                name=f"Dual({nm.name})",
-                provenance=f"dual of {nm.name}",
-            )
-        )
+        add(NamedMatroid(nm.matroid.dual(), name=f"Dual({nm.name})"))
 
     add(_nonsimple_bases_member())
     add(_nonsimple_linear_member())
@@ -117,14 +103,7 @@ def corpus_generate(seed: int = 0, caps: CorpusCaps | None = None) -> list[Named
         assert isinstance(m, LinearMatroid)
         size = rng.randint(10, min(m.n - 1, 20))
         pick = sorted(rng.sample(range(m.n), size))
-        add(
-            NamedMatroid(
-                m.restrict_columns(mask_of(pick)),
-                name=f"Rst{i}({nm.name};s{seed})",
-                provenance=f"columns {pick} of {nm.name}",
-                meta={"picked": tuple(pick)},
-            )
-        )
+        add(NamedMatroid(m.restrict_columns(mask_of(pick)), name=f"Rst{i}({nm.name};s{seed})"))
     for i, nm in enumerate([pg(5, 2), pg(6, 2), pg(4, 3)]):
         m = nm.matroid
         assert isinstance(m, LinearMatroid)
@@ -133,13 +112,6 @@ def corpus_generate(seed: int = 0, caps: CorpusCaps | None = None) -> list[Named
         keep = 0
         for cls in quo.point_classes():
             keep |= 1 << min(bits(cls))
-        add(
-            NamedMatroid(
-                quo.restrict_columns(keep),
-                name=f"SiCon{i}({nm.name};s{seed})",
-                provenance=f"simplification of {nm.name} contracted at column {e}",
-                meta={"contracted": e},
-            )
-        )
+        add(NamedMatroid(quo.restrict_columns(keep), name=f"SiCon{i}({nm.name};s{seed})"))
 
     return out

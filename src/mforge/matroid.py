@@ -857,11 +857,10 @@ class MinorView(Matroid):
         self._linear_flats = parent._linear_flats
         self.contract_mask = contract_mask
         self.delete_mask = delete_mask
-        gone = contract_mask | delete_mask
-        self.ground_map = tuple(e for e in range(parent.n) if not gone & (1 << e))
-        super().__init__(len(self.ground_map))
+        rest = ((1 << parent.n) - 1) & ~(contract_mask | delete_mask)
+        super().__init__(rest.bit_count())
         self._runs = []
-        rest, start = ((1 << parent.n) - 1) ^ gone, 0
+        start = 0
         while rest:
             ps = (rest & -rest).bit_length() - 1
             x = rest >> ps

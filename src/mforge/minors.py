@@ -456,9 +456,7 @@ def growth_hypothesis_holds(r: int, ell: int, t: int) -> bool:
 # -- dense restriction descent ---------------------------------------------------------------
 
 
-def dense_restriction(
-    m: Matroid, q: int, t: int, ell: int | None = None
-) -> DenseRestrictionReport:
+def dense_restriction(m: Matroid, q: int, t: int) -> DenseRestrictionReport:
     """Shrink a q-dense matroid to a restriction whose cocircuits all have
     rank at least r-1, keeping a golden-ratio-weighted density invariant.
 
@@ -470,15 +468,15 @@ def dense_restriction(
     counting argument itself is wrong.
 
     Only q-density of the input is enforced.  The growth hypothesis
-    (sqrt5-1)^(r-1) >= ell^(t-1) is evaluated and recorded; when it holds,
-    the result is guaranteed q-dense with rank >= t, and that is asserted.
+    (sqrt5-1)^(r-1) >= ell^(t-1), ell = max(longest line minor - 1, 2), is
+    evaluated and recorded; when it holds, the result is guaranteed q-dense
+    with rank >= t, and that is asserted.
     """
     if not m.is_q_dense(q):
         raise ValueError("input must be q-dense")
     r = m.full_rank
     threshold = (q**r - 1) // (q - 1)
-    if ell is None:
-        ell = max(longest_line_minor(m) - 1, 2)
+    ell = max(longest_line_minor(m) - 1, 2)
     report = DenseRestrictionReport(
         restriction=(1 << m.n) - 1,
         hypothesis_holds=growth_hypothesis_holds(r, ell, t),
@@ -530,14 +528,14 @@ def dense_restriction(
 
 
 def unavoidable_minor_of_extension(
-    m: Matroid, target_rank: int, q: int, e: int | None = None
+    m: Matroid, target_rank: int, q: int
 ) -> tuple[str, MinorWitness]:
     """Extract the rank-m principal-extension minor from a one-element
     extension of a rank-2m projective geometry.
 
-    The element e (default: last id) must add a genuinely new point.  The
-    minimal flat F of the geometry whose closure catches e is recovered as
-    the intersection of all geometry hyperplanes that do; modularity of
+    The last element e must add a genuinely new point.  The minimal flat F
+    of the geometry whose closure catches e is recovered as the
+    intersection of all geometry hyperplanes that do; modularity of
     projective flats makes that intersection itself catch e.  If r(F) >= m,
     contract basis elements to leave a free point on a full flat (tag
     P(m-1,q,m)); otherwise leave a free point on a line (tag P(m-1,q,2)).
@@ -547,8 +545,7 @@ def unavoidable_minor_of_extension(
     from .constructions import principal_geometry_extension
 
     mm = target_rank
-    if e is None:
-        e = m.n - 1
+    e = m.n - 1
     n_pts = (q ** (2 * mm) - 1) // (q - 1)
     if m.full_rank != 2 * mm or m.n != n_pts + 1:
         raise NotAnExtensionError(

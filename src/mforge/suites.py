@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import struct
 import time
 
 from .errors import LemmaViolationError
@@ -49,26 +48,6 @@ def _ok(**extra) -> dict:
 
 # ---------------------------------------------------------------- fields
 
-def _randrange_values(rng: random.Random, q: int, count: int) -> list[int]:
-    """The next count values of rng.randrange(q), from few calls into rng.
-
-    For q < 2^32, randrange(q) keeps the top k = q.bit_length() bits of one
-    32-bit word of the generator and draws again while they are q or more;
-    getrandbits(32 w) returns the next w words, the first in the lowest 32
-    bits.  So the words' top bits, less the values of q or more, are the
-    same stream.
-    """
-    k = q.bit_length()
-    shift = 32 - k
-    out: list[int] = []
-    while len(out) < count:
-        words = ((count - len(out)) << k) // q + 8  # expected need, plus slack
-        packed = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-        out += [v for w in struct.unpack(f"<{words}I", packed) if (v := w >> shift) < q]
-    del out[count:]
-    return out
-
-
 def _check_field(q: int, seed: int) -> dict:
     from .gf import field_new
 
@@ -89,7 +68,7 @@ def _check_field(q: int, seed: int) -> dict:
         triples = itertools.product(els, repeat=3)
         mode = "exhaustive"
     else:
-        vals = _randrange_values(random.Random(seed * 1000003 + q), q, 3 * 4096)
+        vals = random.Random(seed * 1000003 + q).choices(range(q), k=3 * 4096)
         triples = zip(vals[0::3], vals[1::3], vals[2::3])
         mode = "sampled-4096"
     for a, b, c in triples:
@@ -571,5 +550,5 @@ def run_suite(suite: str, seed: int = 0, caps: CorpusCaps | None = None) -> Suit
         passed=all(c["pass"] for c in results),
         cases=results,
         elapsed_ms=elapsed,
-        meta={"prng": "mt19937", "cases": len(results)},
+        meta={"prng": "mt19937"},
     )

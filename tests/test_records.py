@@ -56,10 +56,10 @@ def test_result_records_behave_like_the_dataclasses_they_replace():
 
     # NamedMatroid: its own repr, field equality, a fresh meta dict each time
     m = uniform(2, 4).matroid
-    a, b = NamedMatroid(m, "U(2,4)", "r"), NamedMatroid(m, "U(2,4)", "r")
+    a, b = NamedMatroid(m, "U(2,4)"), NamedMatroid(m, "U(2,4)")
     assert repr(a) == "<NamedMatroid U(2,4) n=4>" and a.n == 4
     assert a == b and a.meta == {} and a.meta is not b.meta
-    assert a != NamedMatroid(m, "U(2,4)", "r", {"k": 1})
+    assert a != NamedMatroid(m, "U(2,4)", {"k": 1})
     with pytest.raises(TypeError):
         hash(a)  # meta is a dict
 

@@ -1,12 +1,10 @@
-import random
 import threading
 import weakref
 
 import pytest
 
 from mforge.corpus import CorpusCaps, corpus_generate, descriptor
-from mforge.gf import prime_powers_upto
-from mforge.suites import SUITES, _randrange_values, run_suite
+from mforge.suites import SUITES, run_suite
 
 
 def test_unknown_suite():
@@ -117,26 +115,3 @@ def test_crashing_case_reported_not_raised(monkeypatch):
     assert rep.passed is False
     crashed = [c for c in rep.cases if c["case"] == "crash[1]"]
     assert crashed and "ZeroDivisionError" in crashed[0]["detail"]
-
-
-@pytest.mark.parametrize("seed", [0, 9])
-def test_sampled_field_triples_are_the_randrange_values(seed):
-    # field-axioms samples 4096 triples for each q above 16, seeded per q
-    sampled = [q for q in prime_powers_upto(64) if q > 16]
-    assert len(sampled) == 17
-    for q in sampled:
-        rng = random.Random(seed * 1000003 + q)
-        want = [(rng.randrange(q), rng.randrange(q), rng.randrange(q)) for _ in range(4096)]
-        vals = _randrange_values(random.Random(seed * 1000003 + q), q, 3 * 4096)
-        assert list(zip(vals[0::3], vals[1::3], vals[2::3])) == want, q
-
-
-def test_randrange_values_refill():
-    # orders just past a power of two reject almost half the words, so the
-    # first draw often falls short and a second one is needed
-    for seed in range(20):
-        for q in (2, 3, 33, 65, 1025):
-            for count in (1, 7, 1000):
-                rng = random.Random(seed)
-                want = [rng.randrange(q) for _ in range(count)]
-                assert _randrange_values(random.Random(seed), q, count) == want
