@@ -49,7 +49,7 @@ ground set, which is smaller than its parent's and one rank lower per
 contracted element.
 
 All matroids are immutable after construction.  The only mutable state is
-the per-instance rank and closure memos, which behave as pure caches.
+the per-instance rank, closure and flats memos, which behave as pure caches.
 
 Enumerative operations are capped: flats and cocircuits need ground sets of at
 most ENUM_CAP elements (a bases list's hyperplanes excepted), circuits at most
@@ -141,6 +141,7 @@ class Matroid:
         self.n = n
         self._memo: dict[int, int] = {}
         self._closures: dict[int, int] = {}
+        self._flats: dict[int, tuple[int, ...]] = {}
         self._full_rank: int | None = None
 
     # -- rank ----------------------------------------------------------------
@@ -219,14 +220,19 @@ class Matroid:
         return basis
 
     def flats_of_rank(self, k: int) -> list[int]:
-        """All flats of rank exactly k, ascending by bitmask."""
+        """All flats of rank exactly k, ascending by bitmask, as a fresh list.
+
+        Each k is enumerated once per instance; the memo keeps a tuple, so a
+        caller may change the list it gets without changing the next answer.
+        """
         if k < 0 or k > self.full_rank:
             raise ValueError(f"flat rank {k} outside [0, {self.full_rank}]")
         if k == 0:
             return [self.closure(0)]  # the one rank-0 flat, at any ground size
-        out = self._flats_impl(k)
-        out.sort()
-        return out
+        flats = self._flats.get(k)
+        if flats is None:
+            flats = self._flats[k] = tuple(sorted(self._flats_impl(k)))
+        return list(flats)
 
     def _flats_impl(self, k: int) -> list[int]:
         """Each rank-k flat once, walked up from cl(empty) along its greedy basis.

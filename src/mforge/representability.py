@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from .errors import SizeCapError
 from .gf import GF, is_prime, prime_power, prime_powers_upto, prime_sieve
-from .matroid import LinearMatroid, Matroid
 from .records import FrozenRecord, Record
 
 WITNESS_Q_CAP = 13
@@ -182,6 +181,7 @@ def brute_force_linear_rep(m: Matroid, q: int) -> LinearMatroid | None:
     q <= 7.
     """
     from .constructions import pg
+    from .matroid import LinearMatroid  # only this oracle needs matroid.py
 
     r = m.full_rank
     if r > 3 or m.n > 8 or q > 7:

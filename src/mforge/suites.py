@@ -13,7 +13,9 @@ loads only what the chosen suite runs.
 The corpus suites (rank-axioms, kung, lemma4, lemma5) build the seeded
 corpus once and list each member's cases together, every q included, so
 a member's cases run back to back on one matroid and one rank memo, and
-the member is freed once its last case has run.
+the member is freed once its last case has run.  lemma6 likewise builds
+PG(3,2) and PG(5,2) once and hands each to all of its extension cases, so
+their flats are enumerated once per run.
 """
 
 from __future__ import annotations
@@ -294,12 +296,12 @@ def _suite_lemma5(seed: int, caps: CorpusCaps) -> list:
 
 # ------------------------------------------- extensions of geometries
 
-def _check_extension(m: int, q: int, flat: int, want_tag: str) -> dict:
-    from .constructions import pg, principal_geometry_extension
+def _check_extension(geom, m: int, q: int, flat: int, want_tag: str) -> dict:
+    """The extension of geom = PG(2m-1, q) on flat has the unavoidable minor want_tag."""
+    from .constructions import principal_geometry_extension
     from .matroid import bits
     from .minors import iso_is_valid, unavoidable_minor_of_extension
 
-    geom = pg(2 * m, q).matroid
     ext = geom.principal_extension(flat)
     tag, wit = unavoidable_minor_of_extension(ext, m, q)
     if tag != want_tag:
@@ -321,17 +323,18 @@ def _suite_lemma6(seed: int, caps: CorpusCaps) -> list:
         cases.append(
             (
                 f"ext[m=2,q=2,flat={i:02d},r={geom.rank(flat)}]",
-                (lambda f=flat: _check_extension(2, 2, f, "P(1,2,2)")),
+                (lambda f=flat: _check_extension(geom, 2, 2, f, "P(1,2,2)")),
             )
         )
     big = pg(6, 2).matroid
     line = big.flats_of_rank(2)[0]
     plane = big.flats_of_rank(3)[0]
-    cases.append(("ext[m=3,q=2,line]", (lambda: _check_extension(3, 2, line, "P(2,2,2)"))))
-    cases.append(("ext[m=3,q=2,plane]", (lambda: _check_extension(3, 2, plane, "P(2,2,3)"))))
-    cases.append(
-        ("ext[m=3,q=2,full]", (lambda: _check_extension(3, 2, (1 << big.n) - 1, "P(2,2,3)")))
-    )
+    full = (1 << big.n) - 1
+    for name, flat, want in (("line", line, "P(2,2,2)"), ("plane", plane, "P(2,2,3)"),
+                             ("full", full, "P(2,2,3)")):
+        cases.append(
+            (f"ext[m=3,q=2,{name}]", (lambda f=flat, w=want: _check_extension(big, 3, 2, f, w)))
+        )
     return cases
 
 

@@ -408,6 +408,8 @@ def test_verify_field_axioms_loads_only_the_field():
 
 SEARCH_SUITES = ("spike-oracle", "swirl-oracle", "rep-cross", "field-axioms",
                  "spike-structure", "swirl-structure", "eventual-base")
+# suites that build no matroid, so they need not compile matroid.py
+MATROID_FREE_SUITES = {"spike-oracle", "swirl-oracle", "field-axioms", "eventual-base"}
 
 
 def test_search_commands_load_no_dataclasses_or_inspect(tmp_path, capsys):
@@ -421,6 +423,16 @@ def test_search_commands_load_no_dataclasses_or_inspect(tmp_path, capsys):
         loaded = _loaded_after(*argv)
         assert "mforge.cli" in loaded, argv
         assert not loaded & {"dataclasses", "inspect"}, argv
+        if argv[0] == "verify" and argv[1] in MATROID_FREE_SUITES:
+            assert "mforge.matroid" not in loaded, argv
+
+
+def test_representability_loads_no_matroid():
+    # only brute_force_linear_rep needs LinearMatroid, and it imports it itself
+    loaded = _modules_after("import json, sys\nimport mforge.representability")
+    assert "mforge.representability" in loaded
+    assert "mforge.matroid" not in loaded
+    assert "mforge.matroid" not in _loaded_after("rep", "spike", "--k", "4", "--q", "5")
 
 
 def test_verify_help_lists_every_suite(capsys):

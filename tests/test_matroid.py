@@ -177,17 +177,21 @@ def _assert_ternary_keys(m):
         assert ones & nz & -nz
 
 
-def _check_point_table(m):
+def _check_point_table(m, max_walk=None):
     # rank, point classes and flats read the one point table; each must
     # match its definition through the generic methods, the subspace walk
-    # also where the flats of rank k come from the search
+    # also where the flats of rank k come from the search, unless the walk
+    # visits more than max_walk points
     assert m.point_classes() == Matroid.point_classes(m)
-    if m.field.q == 3:
+    q = m.field.q
+    if q == 3:
         _assert_ternary_keys(m)
     for k in range(m.full_rank + 1):
         flats = sorted(Matroid._flats_impl(m, k))
         assert sorted(m._flats_impl(k)) == flats
-        if _gaussian_binomial(m.full_rank, k, m.field.q) <= SUBSPACE_ENUM_CAP:
+        count = _gaussian_binomial(m.full_rank, k, q)
+        walk = count * (q**k - 1) // (q - 1)
+        if count <= SUBSPACE_ENUM_CAP and (max_walk is None or walk <= max_walk):
             assert sorted(m._subspace_flats(k)) == flats
     if m.n > 10:
         return  # the subset sweeps are exponential in n
@@ -285,8 +289,7 @@ def _linear_matroids(draw, fields=(2, 3, 4, 5, 7, 8, 9), min_n=0, max_n=8):
     pivot rows after it), then combinations of them, loops and parallel
     copies, in a drawn order."""
     gf = field_new(draw(st.sampled_from(fields)))
-    # q^r <= 1024 keeps the subspace walk in _check_point_table short
-    r = draw(st.sampled_from([r for r in (2, 3, 1, 4) if r <= max_n and gf.q**r <= 1024]))
+    r = draw(st.sampled_from([r for r in (2, 3, 1, 4) if r <= max_n]))
     dim = draw(st.integers(r, 4))
     n = max_n - draw(st.integers(0, max_n - max(r, min_n)))
     entry = st.integers(0, gf.q - 1)
@@ -315,6 +318,10 @@ def _linear_matroids(draw, fields=(2, 3, 4, 5, 7, 8, 9), min_n=0, max_n=8):
 # shapes the strategy leaves to examples: no elements, rank 0, and a single
 # basis with loops beside its coloops
 _DEGENERATE = [[], [(0, 0), (0, 0)], [(1, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 0)]]
+# the derandomized draw of test_point_table_property has rank 4 over GF(8)
+# and GF(9) but not over GF(7)
+_RANK_4_GF7 = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 2, 3, 4), (0, 0, 1, 0), (0, 0, 0, 1),
+               (6, 5, 4, 3), (0, 0, 0, 0)]
 
 
 @settings(max_examples=150)
@@ -323,8 +330,12 @@ _DEGENERATE = [[], [(0, 0), (0, 0)], [(1, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 0)
 @example(LinearMatroid(field_new(2), _DEGENERATE[0]))
 @example(LinearMatroid(field_new(3), _DEGENERATE[1]))
 @example(LinearMatroid(field_new(2), _DEGENERATE[2]))
+@example(LinearMatroid(field_new(7), _RANK_4_GF7))
 def test_point_table_property(m):
-    _check_point_table(m)
+    # 5000 points keeps every walk of rank 4 over GF(5) and below; rank 4
+    # over GF(7), GF(8) and GF(9) walks its points and its whole space, and
+    # checks its lines and planes through _flats_impl's own choice
+    _check_point_table(m, max_walk=5000)
 
 
 def test_linear_matroid_draws_are_spread():
@@ -339,7 +350,7 @@ def test_linear_matroid_draws_are_spread():
         shapes.append((m.n, len(materialize_bases(m).bases)))
 
     draw()
-    # measured: 115 of the 150 draws have two or more bases, 89 have n >= 5
+    # measured: 114 of the 150 draws have two or more bases, 106 have n >= 5
     assert len(shapes) == 150
     assert sum(b >= 2 for _, b in shapes) >= 105
     assert sum(n >= 5 for n, _ in shapes) >= 85
@@ -1029,6 +1040,72 @@ def test_rank_memo_is_pure_cache():
     r1 = [m.rank(x) for x in range(1 << 6)]
     r2 = [m.rank(x) for x in range(1 << 6)]
     assert r1 == r2
+
+
+# -- the flats memo ---------------------------------------------------------------------
+
+
+def test_flats_memo_hands_out_fresh_lists():
+    # a caller may build on its list (lemma6 concatenates two of them, a
+    # truncation hands back its parent's) without changing the next answer
+    m = pg(3, 3).matroid
+    trunc = m.truncate(2)
+    for k in range(m.full_rank + 1):
+        want = sorted(Matroid._flats_impl(m, k))
+        got = m.flats_of_rank(k)
+        got.append(-1)
+        got.reverse()
+        assert m.flats_of_rank(k) == want
+        assert m.flats_of_rank(k) is not m.flats_of_rank(k)
+    lines = trunc.flats_of_rank(1)
+    lines.clear()
+    assert trunc.flats_of_rank(1) == m.flats_of_rank(1) == sorted(Matroid._flats_impl(m, 1))
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_flats_impl_runs_once_per_rank(index, monkeypatch):
+    m = _one_of_each_class()[index]
+    cls = type(m)
+    calls = {}
+    kernel = cls._flats_impl
+
+    def counted(self, k):
+        if self is m:
+            calls[k] = calls.get(k, 0) + 1
+        return kernel(self, k)
+
+    monkeypatch.setattr(cls, "_flats_impl", counted)
+    want = [m.flats_of_rank(k) for k in range(m.full_rank + 1)]
+    for _ in range(3):
+        assert [m.flats_of_rank(k) for k in reversed(range(m.full_rank + 1))] == want[::-1]
+        assert m.hyperplanes() == want[-2]
+    assert calls == {k: 1 for k in range(1, m.full_rank + 1)}  # rank 0 is cl(empty)
+
+
+def test_flats_memo_matches_fresh_copies_on_the_corpus():
+    members = [nm.matroid for nm in corpus_generate(0)]
+    fresh = [nm.matroid for nm in corpus_generate(0)]
+    for m, f in zip(members, fresh):
+        ranks = range(1, m.full_rank + 1)  # rank 0 is cl(empty), never stored
+        first = [m.flats_of_rank(k) for k in ranks]
+        again = [m.flats_of_rank(k) for k in reversed(ranks)][::-1]
+        # the fresh copy answers through its own kernel, past any memo of its own
+        assert first == again == [sorted(f._flats_impl(k)) for k in ranks], m
+
+
+def test_flats_memo_stores_no_refusal():
+    m = pg(4, 2).matroid
+    for k in (-1, m.full_rank + 1, -1):
+        with pytest.raises(ValueError, match="outside"):
+            m.flats_of_rank(k)
+    assert m._flats == {}
+    # rank-2 subspaces of GF(37)^4 exceed SUBSPACE_ENUM_CAP and 70 > ENUM_CAP
+    # elements refuse the generic search: each call refuses again
+    big = _random_linear(random.Random(70), 37, 4, 70)
+    for _ in range(2):
+        with pytest.raises(SizeCapError, match="needs n <= 64"):
+            big.flats_of_rank(2)
+    assert big._flats == {}
 
 
 # -- basis exchange for a bases list ---------------------------------------------------

@@ -115,3 +115,23 @@ def test_crashing_case_reported_not_raised(monkeypatch):
     assert rep.passed is False
     crashed = [c for c in rep.cases if c["case"] == "crash[1]"]
     assert crashed and "ZeroDivisionError" in crashed[0]["detail"]
+
+
+def test_lemma6_builds_each_geometry_once(monkeypatch):
+    # every extension case of one geometry reads the one PG(3,2) or PG(5,2)
+    # and its memos; the seed-0 reference pins the report itself
+    from collections import Counter
+
+    from mforge import constructions
+
+    built = Counter()
+    pg = constructions.pg
+
+    def counted(n, q):
+        built[n, q] += 1
+        return pg(n, q)
+
+    monkeypatch.setattr(constructions, "pg", counted)
+    rep = run_suite("lemma6")
+    assert rep.passed and len(rep.cases) == 54
+    assert built[4, 2] == built[6, 2] == 1
