@@ -209,10 +209,14 @@ class Matroid:
     def loops(self) -> int:
         return self.closure(0)
 
-    def _greedy_basis(self, flat_mask: int) -> int:
-        basis = 0
-        r = 0
-        for e in bits(flat_mask):
+    def _greedy_basis(self, mask: int, start: int = 0) -> int:
+        """A basis of mask that extends the independent set start, adding
+        elements in ascending order; it stops at full rank."""
+        basis = start
+        r = start.bit_count()
+        for e in bits(mask & ~start):
+            if r == self.full_rank:
+                break
             b = 1 << e
             if self.rank(basis | b) > r:
                 basis |= b
@@ -996,7 +1000,7 @@ class PrincipalExtensionView(Matroid):
     def _flats_impl(self, k: int) -> list[int]:
         # The parent refuses only past ENUM_CAP elements, where the generic
         # search would refuse too, so its SizeCapError passes through.  The
-        # extension has the parent's rank, so 1 <= k <= r(parent).
+        # extension has the parent's rank, so 0 <= k <= r(parent).
         e_bit = 1 << self.parent.n
         fm = self.fmask
         out, through_f = [], []
@@ -1008,7 +1012,7 @@ class PrincipalExtensionView(Matroid):
                 through_f.append(f)
         # The new element sits above a rank-(k-1) flat Y, nothing collapsing,
         # when r(Y + F) >= r(Y) + 2: when no rank-k flat holds both Y and F.
-        for y in self.parent.flats_of_rank(k - 1):
+        for y in self.parent.flats_of_rank(k - 1) if k else ():
             if all(y & ~g for g in through_f):
                 out.append(y | e_bit)
         return out

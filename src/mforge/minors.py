@@ -150,8 +150,9 @@ def _fingerprints(m: Matroid):
     return fps
 
 
-def _pair_colours(m: Matroid) -> list[list[int]]:
-    """colour[e][x]: the number of hyperplanes of m that contain both e and x.
+def _pair_colours(m: Matroid) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """colour[e][x], the number of hyperplanes of m that contain both e and
+    x, and each element's row sorted.
 
     An isomorphism carries hyperplanes onto hyperplanes, so it keeps every
     pair colour, and with them each element's sorted row.
@@ -163,7 +164,7 @@ def _pair_colours(m: Matroid) -> list[list[int]]:
             row = colour[e]
             for x in members:
                 row[x] += 1
-    return colour
+    return colour, [tuple(sorted(row)) for row in colour]
 
 
 def are_isomorphic(m: Matroid, n: Matroid, *, _n_memo=None) -> IsoCertificate | None:
@@ -178,9 +179,9 @@ def are_isomorphic(m: Matroid, n: Matroid, *, _n_memo=None) -> IsoCertificate | 
     prefix subsets would make, and a completed map agrees on all subsets.
 
     Escalation: the first time the search backtracks, it computes the pair
-    colours (_pair_colours) of both sides and starts again.  Sides whose
-    sorted colour rows differ as multisets are not isomorphic; otherwise each
-    candidate f of e needs e's row, and from then on an image f of e needs
+    colours (_pair_colours) of both sides and goes on in place.  Sides whose
+    sorted colour rows differ as multisets are not isomorphic; otherwise,
+    from then on, an image f of e needs e's sorted row and
     colour_m[e][x] == colour_n[f][image[x]] for every mapped x before any
     rank is checked.  Searches that never backtrack never pay for colours.
 
@@ -211,11 +212,12 @@ def are_isomorphic(m: Matroid, n: Matroid, *, _n_memo=None) -> IsoCertificate | 
     r = m.full_rank
     # mapped prefix subsets of at most max(r - 1, 0) elements, with images
     pairs: list[tuple[int, int]] = [(0, 0)]
-    colours = None  # (colour_m, colour_n) once the search has backtracked
+    colours = None  # (colour_m, rows_m, colour_n, rows_n) once the search has backtracked
 
     def extend(depth: int) -> bool | None:
         """True once the map is complete, False when this branch is
-        exhausted, None at the first backtrack while there are no colours."""
+        exhausted, None when the colour rows rule out every map."""
+        nonlocal colours
         if depth == m.n:
             return True
         e = order[depth]
@@ -224,8 +226,9 @@ def are_isomorphic(m: Matroid, n: Matroid, *, _n_memo=None) -> IsoCertificate | 
             if used[f]:
                 continue
             if colours is not None:
-                ce, cf = colours[0][e], colours[1][f]
-                if any(ce[x] != cf[image[x]] for x in order[:depth]):
+                cm, rows_m, cn, rows_n = colours
+                ce, cf = cm[e], cn[f]
+                if rows_m[e] != rows_n[f] or any(ce[x] != cf[image[x]] for x in order[:depth]):
                     continue
             bf = 1 << f
             base = len(pairs)
@@ -243,27 +246,18 @@ def are_isomorphic(m: Matroid, n: Matroid, *, _n_memo=None) -> IsoCertificate | 
                 found = extend(depth + 1)
                 if found is not False:
                     return found
-                if colours is None:
-                    return None  # the first backtrack
                 used[f] = False
                 image[e] = -1
+                if colours is None:  # the first backtrack: escalate in place
+                    if "colours" not in n_memo:
+                        n_memo["colours"] = _pair_colours(n)
+                    colours = *_pair_colours(m), *n_memo["colours"]
+                    if sorted(colours[1]) != sorted(colours[3]):
+                        return None
             del pairs[base:]
         return False
 
-    found = extend(0)
-    if found is None:
-        if "colours" not in n_memo:
-            n_memo["colours"] = _pair_colours(n)
-        colours = _pair_colours(m), n_memo["colours"]
-        rows_m, rows_n = ([sorted(row) for row in c] for c in colours)
-        if sorted(rows_m) != sorted(rows_n):
-            return None
-        cands = [[f for f in cands[e] if rows_n[f] == rows_m[e]] for e in range(m.n)]
-        image[:] = [-1] * m.n
-        used[:] = [False] * n.n
-        del pairs[1:]
-        found = extend(0)
-    if found:
+    if extend(0):
         return IsoCertificate(tuple(image))
     return None
 
@@ -324,49 +318,57 @@ def has_minor(m: Matroid, n: Matroid) -> MinorWitness | None:
 def _line_minor_witness(m: Matroid, size: int) -> MinorWitness | None:
     """Witness for a k-point-line minor of a large matroid.
 
-    Contract a basis of a coline with enough hyperplanes through it, keep one
-    representative per point of the contraction, and certify directly: the
-    result is a simple rank-2 matroid on `size` elements, which pins the
-    target up to any bijection.
+    Contract a basis of the least coline on at least `size` hyperplanes (the
+    least rank-(r-2) hyperplane meet of size(size-1)/2 pairs or more), keep
+    one representative per point of the contraction, and certify directly:
+    the result is a simple rank-2 matroid on `size` elements.
     """
     r = m.full_rank
     if r < 2:
         return None
-    full = (1 << m.n) - 1
-    for co in m.flats_of_rank(r - 2):
-        basis = m._greedy_basis(co)
-        mc = m.contract(basis)
-        classes = mc.point_classes()
-        if len(classes) < size:
-            continue
-        keep = 0
-        for cls in classes[:size]:
-            keep |= cls & -cls
-        kept_m = keep if mc is m else mc.lift_mask(keep)
-        dmask = full ^ basis ^ kept_m
-        if _is_uniform_line(m.minor(basis, dmask)) == size:
-            return MinorWitness(basis, dmask, IsoCertificate(tuple(range(size))))
+    need = size * (size - 1) // 2
+    co = min((meet for meet, count in _hyperplane_meets(m).items()
+              if count >= need and m.rank(meet) == r - 2), default=None)
+    if co is None:
+        return None
+    basis = m._greedy_basis(co)
+    mc = m.contract(basis)
+    keep = 0
+    for cls in mc.point_classes()[:size]:
+        keep |= cls & -cls
+    kept_m = keep if mc is m else mc.lift_mask(keep)
+    dmask = ((1 << m.n) - 1) ^ basis ^ kept_m
+    if _is_uniform_line(m.minor(basis, dmask)) == size:
+        return MinorWitness(basis, dmask, IsoCertificate(tuple(range(size))))
     return None
+
+
+def _hyperplane_meets(m: Matroid) -> Counter:
+    """How many pairs of hyperplanes of m (rank r >= 2) meet in each set.
+
+    Two hyperplanes through a coline (a rank-(r-2) flat) meet in exactly it,
+    and every coline lies on two or more, so the rank-(r-2) keys are the
+    colines, one on d hyperplanes counting d(d-1)/2 pairs.  At rank 2 the one
+    coline cl(empty) lies on all eps(m) points, and no pair is listed.
+    """
+    if m.full_rank == 2:
+        eps = m.epsilon()
+        return Counter({m.loops(): eps * (eps - 1) // 2})
+    return Counter(h & g for h, g in combinations(m.hyperplanes(), 2))
 
 
 def longest_line_minor(m: Matroid) -> int:
     """Largest k such that a k-point-line minor exists (0 when rank < 2).
 
-    Equals the maximum, over colines (rank-(r-2) flats), of the number d of
-    hyperplanes containing the coline: contracting a basis of the coline
-    turns those hyperplanes into the points of a rank-2 minor.  Two distinct
-    hyperplanes through a coline meet in exactly that coline, and every
-    coline lies in at least two, so a coline on d hyperplanes is the meet of
-    d(d-1)/2 hyperplane pairs: the most pairs meeting in one rank-(r-2) set
-    give the largest d, and meets are tried for that rank most pairs first.
+    Equals the most hyperplanes d on one coline: contracting a basis of the
+    coline turns them into the points of a rank-2 minor.  The hyperplane
+    meets are tried most pairs first, and the first of rank r-2 gives d.
     """
     r = m.full_rank
     if r < 2:
         return 0
-    if r == 2:
-        return m.epsilon()
-    meets = Counter(h & g for h, g in combinations(m.flats_of_rank(r - 1), 2))
-    pairs = next(count for meet, count in meets.most_common() if m.rank(meet) == r - 2)
+    pairs = next(count for meet, count in _hyperplane_meets(m).most_common()
+                 if m.rank(meet) == r - 2)
     return (1 + math.isqrt(1 + 8 * pairs)) // 2
 
 
@@ -489,8 +491,7 @@ def dense_restriction(m: Matroid, q: int, t: int) -> DenseRestrictionReport:
         if r0 < 2:
             break
         full_local = (1 << cur.n) - 1
-        cocircs = sorted(full_local ^ h for h in cur.flats_of_rank(r0 - 1))
-        split = next((c for c in cocircs if cur.rank(c) <= r0 - 2), None)
+        split = next((c for c in cur.cocircuits() if cur.rank(c) <= r0 - 2), None)
         if split is None:
             break
         classes = cur.point_classes()
@@ -570,15 +571,7 @@ def unavoidable_minor_of_extension(
         raise LemmaViolationError("hyperplane intersection fails to catch the new element")
 
     basis_flat = m._greedy_basis(flat)
-    basis = basis_flat
-    rk = r_flat
-    for g in range(m.n):
-        if rk == 2 * mm:
-            break
-        gb = 1 << g
-        if g != e and not basis & gb and m.rank(basis | gb) == rk + 1:
-            basis |= gb
-            rk += 1
+    basis = m._greedy_basis(((1 << m.n) - 1) ^ eb, basis_flat)
     if r_flat >= mm:
         keep_ind = mask_of(bits(basis_flat)[:mm])
         contract = basis ^ keep_ind

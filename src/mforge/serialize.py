@@ -162,17 +162,14 @@ def matroid_to_json(m: Matroid) -> dict:
     }
 
 
-def dumps(m: Matroid, **kw) -> str:
-    return json.dumps(matroid_to_json(m), sort_keys=True, **kw)
-
-
 def load_path(path: str) -> Matroid:
     with open(path, "r", encoding="utf-8") as fh:
         return matroid_from_json(fh.read())
 
 
 def save_path(m: Matroid, path: str) -> None:
-    text = dumps(m) + "\n"  # a refused document leaves no file behind
+    # built before the file is opened, so a refused document leaves no file behind
+    text = json.dumps(matroid_to_json(m), sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,69 @@ def test_line_witness_on_a_rank_two_host_above_the_flat_cap():
     wit = has_minor(host, uniform(2, 4).matroid)
     assert wit is not None and wit.contract == 0
     assert iso_is_valid(host.minor(0, wit.delete), uniform(2, 4).matroid, wit.iso.mapping)
+
+
+def _coline_loop_witness(m, size):
+    """The line witness read coline by coline from flats_of_rank(r - 2):
+    the reference for the one read from the hyperplane meets."""
+    r = m.full_rank
+    if r < 2:
+        return None
+    full = (1 << m.n) - 1
+    for co in m.flats_of_rank(r - 2):
+        basis = m._greedy_basis(co)
+        mc = m.contract(basis)
+        classes = mc.point_classes()
+        if len(classes) < size:
+            continue
+        keep = 0
+        for cls in classes[:size]:
+            keep |= cls & -cls
+        kept_m = keep if mc is m else mc.lift_mask(keep)
+        dmask = full ^ basis ^ kept_m
+        if minors._is_uniform_line(m.minor(basis, dmask)) == size:
+            return minors.MinorWitness(basis, dmask, minors.IsoCertificate(tuple(range(size))))
+    return None
+
+
+def test_line_witness_reads_the_hyperplane_meets(monkeypatch):
+    # every size up to one past the longest line, on the corpora at seeds 0
+    # and 23 and on random linear matroids; the host is never asked for its
+    # colines as flats
+    from mforge import corpus_generate
+
+    rng = random.Random(7)
+    hosts = [nm.matroid for seed in (0, 23) for nm in corpus_generate(seed)]
+    hosts += [_seeded_host(rng, q) for q in (2, 3, 4, 5) for _ in range(10)]
+    checked = 0
+    for host in hosts:
+        r = host.full_rank
+        if r < 2:
+            continue
+        sizes = range(2, longest_line_minor(host) + 2)
+        want = [_coline_loop_witness(host, size) for size in sizes]
+        flats = host.flats_of_rank
+
+        def refuse(k, flats=flats, r=r):
+            assert k != r - 2, "colines listed as flats"
+            return flats(k)
+
+        monkeypatch.setattr(host, "flats_of_rank", refuse)
+        assert [minors._line_minor_witness(host, size) for size in sizes] == want
+        assert want[-1] is None and all(w is not None for w in want[:-1])
+        checked += len(want)
+    assert checked >= 700, checked  # measured: 742 (host, size) pairs
+
+
+def test_line_witness_on_a_long_rank_two_line():
+    # PG(1,2003): its one coline lies on all 2004 points, counted without
+    # listing the two million pairs of them
+    host = pg(2, 2003).matroid
+    t0 = time.perf_counter()
+    wit = minors._line_minor_witness(host, 2004)
+    assert time.perf_counter() - t0 < 1.0
+    assert wit is not None and wit.contract == 0 and wit.delete == 0
+    assert minors._line_minor_witness(host, 2005) is None
 
 
 def test_size_and_rank_negatives_come_before_the_caps():
@@ -342,6 +407,31 @@ def test_spike_and_swirl_relabellings(family, k, count, checked):
         assert cert is not None and iso_is_valid(a, b, cert.mapping)
         if i < checked:
             assert cert.mapping == _fingerprint_search(a, b)
+
+
+def test_escalation_goes_on_in_place(monkeypatch):
+    # a spike's fingerprints do not tell its elements apart, so the search
+    # backtracks and computes pair colours once per side; it goes on from
+    # there, so the search starts once
+    (a, b), = _relabelled_copies(free_spike(5).matroid, random.Random(5), 1)
+    coloured, starts = [], []
+    pair_colours = minors._pair_colours
+    monkeypatch.setattr(minors, "_pair_colours", lambda m: coloured.append(m) or pair_colours(m))
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_name == "extend"
+                and code.co_filename == minors.__file__ and frame.f_locals["depth"] == 0):
+            starts.append(frame.f_lineno)
+
+    saved = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        cert = are_isomorphic(a, b)
+    finally:
+        sys.setprofile(saved)
+    assert cert is not None and cert.mapping == _fingerprint_search(a, b)
+    assert len(coloured) == 2 and len(starts) == 1
 
 
 @pytest.mark.parametrize("k", [4, 5, 6])

@@ -131,3 +131,16 @@ def test_parse_reconstructs_arithmetic():
     assert back.field == gf
     for x in range(1 << 4):
         assert back.rank(x) == m.rank(x)
+
+
+def test_saved_files_are_pinned(tmp_path):
+    # keys sorted, default separators, one trailing newline
+    from mforge.serialize import save_path
+
+    fano, line = tmp_path / "fano.json", tmp_path / "line.json"
+    save_path(pg(3, 2).matroid, str(fano))
+    save_path(uniform(2, 3).matroid, str(line))
+    assert fano.read_bytes() == (
+        b'{"columns": [[0, 0, 1], [0, 1, 0], [0, 1, 1], [1, 0, 0], [1, 0, 1], [1, 1, 0], '
+        b'[1, 1, 1]], "field": {"k": 1, "modulus": [0, 1], "p": 2}, "kind": "linear"}\n')
+    assert line.read_bytes() == b'{"bases": [[0, 1], [0, 2], [1, 2]], "kind": "bases", "n": 3, "rank": 2}\n'

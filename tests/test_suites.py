@@ -135,3 +135,42 @@ def test_lemma6_builds_each_geometry_once(monkeypatch):
     rep = run_suite("lemma6")
     assert rep.passed and len(rep.cases) == 54
     assert built[4, 2] == built[6, 2] == 1
+
+
+def test_lemma6_builds_each_target_once(monkeypatch):
+    # one P(m-1,q,k) per case inside unavoidable_minor_of_extension, which
+    # needs it to find the map, and the suite's three targets P(1,2,2),
+    # P(2,2,2) and P(2,2,3), against which each witness is re-checked
+    from mforge import constructions
+
+    built = []
+    build = constructions.principal_geometry_extension
+    monkeypatch.setattr(constructions, "principal_geometry_extension",
+                        lambda n, q, k: built.append((n, q, k)) or build(n, q, k))
+    rep = run_suite("lemma6")
+    assert rep.passed and len(rep.cases) == 54
+    assert len(built) == 57
+
+
+# SHA-256 of the "\n"-joined [tag, contract, delete, mapping] lines of the 54
+# lemma6 witnesses, in case order
+_LEMMA6_WITNESS_DIGEST = "96da4839307c55b1215769042da5850b5b2b9e16b358cfe770f5350a7eaccab0"
+
+
+def test_lemma6_witnesses_are_pinned(monkeypatch):
+    import hashlib
+    import json
+
+    from mforge import minors
+
+    rows = []
+    find = minors.unavoidable_minor_of_extension
+
+    def recorded(ext, m, q):
+        tag, wit = find(ext, m, q)
+        rows.append(json.dumps([tag, wit.contract, wit.delete, list(wit.iso.mapping)]))
+        return tag, wit
+
+    monkeypatch.setattr(minors, "unavoidable_minor_of_extension", recorded)
+    assert run_suite("lemma6").passed and len(rows) == 54
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == _LEMMA6_WITNESS_DIGEST
