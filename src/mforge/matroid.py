@@ -903,9 +903,7 @@ class MinorView(Matroid):
     def _flats_impl(self, k: int) -> list[int]:
         if not self._linear_flats:
             return super()._flats_impl(k)
-        pk = k + self._rc
-        if pk > self.parent.full_rank:
-            return []
+        pk = k + self._rc  # at most r(E - D), since k is at most this view's rank
         try:
             parent_flats = self.parent.flats_of_rank(pk)
         except SizeCapError as exc:
@@ -957,9 +955,7 @@ class TruncationView(Matroid):
     def _flats_impl(self, k: int) -> list[int]:
         if k < self.t:
             return self.parent.flats_of_rank(k)
-        if k == self.t:
-            return [(1 << self.n) - 1]
-        return []
+        return [(1 << self.n) - 1]  # k == t: the ground set is the one rank-t flat
 
 
 class PrincipalExtensionView(Matroid):

@@ -7,6 +7,10 @@ minor_is_valid).  Searches enumerate candidates in a fixed canonical order
 (subsets ascending by bitmask, sizes ascending) so results are reproducible
 run to run.
 
+Lines come from one source: the matroid's rank-2 flats (flats_of_rank(2),
+memoized per matroid) for the fingerprints, and the points of M/e for the
+lines through e in longline_step; no line is found by closing a pair.
+
 Isomorphism is a backtracking search over per-element fingerprints (parallel
 class size and line profile).  Spikes and swirls have fingerprints that do
 not tell elements apart, so the first time the search backtracks it
@@ -118,35 +122,23 @@ def minor_is_valid(m: Matroid, n: Matroid, wit: MinorWitness) -> bool:
 def _fingerprints(m: Matroid):
     """Per-element invariant: loops, parallel class size, line profile.
 
-    The line profile of a point is the sorted multiset of point-counts of
-    the rank-2 closures through it (one entry per other parallel class).
+    The line profile of a point is the sorted multiset of the point counts
+    of the lines through it, one entry per other point on each line: a line
+    of p points adds p - 1 entries p to each of its points.  Two points lie
+    on exactly one line (rank-2 flat), so that is one entry per other point.
+    Below rank 2 there is no line and every profile is empty.
     """
     classes = m.point_classes()
-    cls_of = {}
-    for i, cls in enumerate(classes):
+    profiles: list[list[int]] = [[] for _ in classes]
+    for line in m.flats_of_rank(2) if m.full_rank >= 2 else ():
+        on = [i for i, cls in enumerate(classes) if cls & line]
+        for i in on:
+            profiles[i] += [len(on)] * (len(on) - 1)
+    fps = [(0, ())] * m.n  # class size 0 marks a loop; real classes are nonempty
+    for cls, profile in zip(classes, profiles):
+        fp = (cls.bit_count(), tuple(sorted(profile)))
         for e in bits(cls):
-            cls_of[e] = i
-    reps = [cls & -cls for cls in classes]
-    line_pts: dict[tuple[int, int], int] = {}
-    fps = []
-    for e in range(m.n):
-        if e not in cls_of:
-            fps.append((0, ()))  # class size 0 marks a loop; real classes are nonempty
-            continue
-        i = cls_of[e]
-        profile = []
-        for j in range(len(classes)):
-            if j == i:
-                continue
-            key = (min(i, j), max(i, j))
-            cnt = line_pts.get(key)
-            if cnt is None:
-                line = m.closure(reps[i] | reps[j])
-                cnt = sum(1 for cls in classes if cls & line)
-                line_pts[key] = cnt
-            profile.append(cnt)
-        profile.sort()
-        fps.append((classes[i].bit_count(), tuple(profile)))
+            fps[e] = fp
     return fps
 
 
@@ -387,23 +379,24 @@ class LonglineStep(FrozenRecord):
 
 
 def longline_step(m: Matroid, q: int, e: int) -> LonglineStep:
-    """For q-dense M and a non-loop e: contract keeps density, or a long line through e exists."""
+    """For q-dense M and a non-loop e: contract keeps density, or a long line through e exists.
+
+    The lines through e are read off M/e: the point of M/e holding x is
+    cl_M(x + e) - cl_M(e), so each point lifted back and joined with cl_M(e)
+    is one line through e, and each line comes once, in the order of its
+    least element outside cl_M(e).  The first with q + 2 points is returned.
+    """
     if not m.is_q_dense(q):
         raise ValueError("input must be q-dense")
     if m.rank(1 << e) == 0:
         raise ValueError(f"element {e} is a loop")
-    if m.contract({e}).is_q_dense(q):
+    contraction = m.contract({e})
+    if contraction.is_q_dense(q):
         return LonglineStep("dense-contraction")
     classes = m.point_classes()
-    eb = 1 << e
-    seen = set()
-    for cls in classes:
-        if cls & eb:
-            continue
-        line = m.closure(eb | (cls & -cls))
-        if line in seen:
-            continue
-        seen.add(line)
+    through_e = m.closure(1 << e)
+    for point in contraction.point_classes():
+        line = contraction.lift_mask(point) | through_e
         pts = sum(1 for c in classes if c & line)
         if pts >= q + 2:
             return LonglineStep("line-restriction", line)

@@ -14,6 +14,7 @@ from mforge import (
     NotAnExtensionError,
     RepresentableInputError,
     are_isomorphic,
+    corpus_generate,
     dense_restriction,
     direct_sum,
     field_new,
@@ -35,6 +36,7 @@ from mforge import (
 from mforge import minors
 from mforge.matroid import bits, ksubset_masks
 from mforge.minors import _fingerprints
+from test_matroid import _view_stacks
 
 FANO = pg(3, 2).matroid
 
@@ -499,6 +501,90 @@ def test_longline_step_outcomes():
 
     with pytest.raises(ValueError):
         longline_step(FANO, 2, 0)  # Fano is exactly at the threshold, not dense
+
+
+def _pairwise_fingerprints(m):
+    """Reference fingerprints: each point's line profile from the closure of
+    its representative with every other point's, one entry per other point."""
+    classes = m.point_classes()
+    reps = [cls & -cls for cls in classes]
+    fps = []
+    for e in range(m.n):
+        i = next((i for i, cls in enumerate(classes) if cls >> e & 1), None)
+        if i is None:
+            fps.append((0, ()))
+            continue
+        profile = []
+        for j in range(len(classes)):
+            if j != i:
+                line = m.closure(reps[i] | reps[j])
+                profile.append(sum(1 for cls in classes if cls & line))
+        fps.append((classes[i].bit_count(), tuple(sorted(profile))))
+    return fps
+
+
+def _corpus_members(seeds=(0, 23)):
+    return [nm for seed in seeds for nm in corpus_generate(seed)]
+
+
+def test_fingerprints_match_pairwise_closures():
+    # the rank-2 flats give each point the same profile as closing it with
+    # every other point; the second copy of each matroid keeps the memos apart
+    pairs = [(BasesMatroid(3, [0]), BasesMatroid(3, [0]))]  # rank 0: three loops
+    # rank 1: element 2 a loop, 0, 1 and 3 parallel
+    pairs.append(tuple(BasesMatroid(4, [0b0001, 0b0010, 0b1000]) for _ in range(2)))
+    pairs.append((uniform(2, 6).matroid, uniform(2, 6).matroid))
+    pairs += [(nm.matroid, again.matroid) for nm, again in zip(_corpus_members(), _corpus_members())
+              if nm.n <= minors.ISO_CAP]
+    assert len(pairs) > 3
+    for m, ref in pairs:
+        assert _fingerprints(m) == _pairwise_fingerprints(ref), m
+
+
+@settings(max_examples=80)
+@given(_view_stacks())
+def test_fingerprints_on_view_stacks(pair):
+    m, ref = pair
+    assert _fingerprints(m) == _pairwise_fingerprints(ref)
+
+
+def _closure_loop_step(m, q, e):
+    """Reference long-line step: close e with each other point, in order."""
+    if m.contract({e}).is_q_dense(q):
+        return "dense-contraction", None
+    classes = m.point_classes()
+    seen = set()
+    for cls in classes:
+        if not cls >> e & 1:
+            line = m.closure(1 << e | cls & -cls)
+            if line not in seen:
+                seen.add(line)
+                if sum(1 for c in classes if c & line) >= q + 2:
+                    return "line-restriction", line
+    return "violation", None
+
+
+def test_longline_step_matches_closure_loop():
+    # every q-dense corpus member at q = 2, 3 and each non-loop e; the first
+    # long line found is the same, since lines come by least element outside
+    # e's point on both sides
+    triples = 0
+    for nm, again in zip(_corpus_members(), _corpus_members()):
+        m, ref = nm.matroid, again.matroid
+        for q in (2, 3):
+            if not m.is_q_dense(q):
+                continue
+            for e in range(m.n):
+                if m.rank(1 << e) == 0:
+                    continue
+                try:
+                    step = longline_step(m, q, e)
+                    got = step.kind, step.line
+                except LemmaViolationError:
+                    got = "violation", None
+                assert got == _closure_loop_step(ref, q, e), (nm.name, q, e)
+                triples += 1
+    assert triples == 1499
 
 
 def test_golden_ratio_comparisons_exact():
