@@ -461,7 +461,6 @@ class LinearMatroid(Matroid):
         rows = [row for row, _ in pivots]
         self.points = tuple(_point(field, [c[i] for i in rows]) for c in cols)
         self._full_rank = len(pivots)
-        self._singletons = tuple(1 << e for e in range(self.n))
         self._on_point: dict = {}  # point -> mask of its columns, by lowest column
         self._loops = 0
         for e, p in enumerate(self.points):
@@ -504,15 +503,7 @@ class LinearMatroid(Matroid):
                     out |= members
                 else:
                     pivots.pop()
-        # r(X + e) is r inside the closure and r + 1 outside.  Storing them
-        # leaves the rank memo as the rank scan left it, so later queries of
-        # X + e (are_isomorphic's prefix checks) stay memo hits.
-        memo = self._memo
-        memo[mask] = r
-        r1 = r + 1
-        for b in self._singletons:
-            if not mask & b:
-                memo[mask | b] = r if out & b else r1
+        self._memo[mask] = r
         return out
 
     def point_classes(self) -> list[int]:

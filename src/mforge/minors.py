@@ -12,13 +12,13 @@ memoized per matroid) for the fingerprints, and the points of M/e for the
 lines through e in longline_step; no line is found by closing a pair.
 
 Isomorphism is a backtracking search over per-element fingerprints (parallel
-class size and line profile).  Spikes and swirls have fingerprints that do
-not tell elements apart, so the first time the search backtracks it
-escalates to pair colours: the colour of (e, x) is the number of hyperplanes
-containing both, an isomorphism invariant (the individualize-and-refine
-pruning of McKay and Piperno, reduced to one invariant).  Colours only drop
-candidates that have no completion, so the first map found, and with it
-every certificate, is the one the fingerprint search alone would find.
+class size and line profile), pruned by one rule: the hyperplanes' traces on
+the mapped prefix must agree as multisets on both sides (individualization
+and refinement, as in McKay and Piperno, on element-hyperplane incidence).
+It asks no rank: an isomorphism carries hyperplanes onto hyperplanes, and the
+hyperplanes determine the matroid, so the traces both prune and decide the
+leaf.  Pruning drops only maps with no completion, so the first map found,
+and with it every certificate, is the first isomorphism in the search order.
 
 The golden-ratio-weighted comparisons used by dense_restriction are exact:
 values live in Z[phi] as integer pairs a + b*phi with phi^2 = phi + 1, and
@@ -142,114 +142,67 @@ def _fingerprints(m: Matroid):
     return fps
 
 
-def _pair_colours(m: Matroid) -> tuple[list[list[int]], list[tuple[int, ...]]]:
-    """colour[e][x], the number of hyperplanes of m that contain both e and
-    x, and each element's row sorted.
-
-    An isomorphism carries hyperplanes onto hyperplanes, so it keeps every
-    pair colour, and with them each element's sorted row.
-    """
-    colour = [[0] * m.n for _ in range(m.n)]
-    for h in m.hyperplanes():
-        members = bits(h)
-        for e in members:
-            row = colour[e]
-            for x in members:
-                row[x] += 1
-    return colour, [tuple(sorted(row)) for row in colour]
-
-
 def are_isomorphic(m: Matroid, n: Matroid, *, _n_memo=None) -> IsoCertificate | None:
     """Rank-preserving bijection, or None when provably absent.
 
-    Backtracking over fingerprint-compatible images.  At each extension
-    step, the new element joined with every subset of the mapped prefix of
-    at most r - 1 elements (r the full rank) is checked for rank agreement.
-    That loses nothing: a set whose ranks disagree has a maximal independent
-    subset, on the side of larger rank, whose ranks disagree too, and it has
-    at most r elements.  Every pruning decision is the one a check of all
-    prefix subsets would make, and a completed map agrees on all subsets.
+    Depth-first search over fingerprint-compatible images, most constrained
+    element first, pruned by hyperplane traces: each hyperplane's key lists
+    which elements of the mapped prefix it holds, in prefix order, and
+    mapping e to f extends the keys by "H holds e" on m and "H holds f" on n.
+    An image survives only while the two sides' keys agree as multisets.
 
-    Escalation: the first time the search backtracks, it computes the pair
-    colours (_pair_colours) of both sides and goes on in place.  Sides whose
-    sorted colour rows differ as multisets are not isomorphic; otherwise,
-    from then on, an image f of e needs e's sorted row and
-    colour_m[e][x] == colour_n[f][image[x]] for every mapped x before any
-    rank is checked.  Searches that never backtrack never pay for colours.
+    Sound: an isomorphism carries hyperplanes onto hyperplanes, so a map
+    that extends to one keeps the keys.  Exact: at a full map the keys are
+    the hyperplanes themselves, so equal multisets mean the map carries the
+    hyperplanes of m onto those of n, and the hyperplanes determine a
+    matroid.  Same first map: the search runs in a fixed order, prunes only
+    maps with no completion and accepts exactly the isomorphisms, so it
+    returns the first isomorphism in that order, as any such search does.
 
-    Output rule: the element order and the candidate order are the
-    fingerprint search's, and the colours only drop candidates that have no
-    completion, so the first map found is the same with or without them.
-
-    _n_memo, when given, is a dict that keeps n's fingerprints and colours
-    across calls: has_minor passes one for all of its candidates.
+    _n_memo, when given, is a dict that keeps n's fingerprints and
+    hyperplanes across calls: has_minor passes one for all of its candidates.
     """
     if m.n != n.n or m.full_rank != n.full_rank:
         return None
     if m.n > ISO_CAP:
         raise SizeCapError(f"isomorphism search needs n <= {ISO_CAP}, got {m.n}")
-    if m.n == 0:
-        return IsoCertificate(())
     n_memo = {} if _n_memo is None else _n_memo
     if "prints" not in n_memo:
         n_memo["prints"] = _fingerprints(n)
     fm, fn = _fingerprints(m), n_memo["prints"]
     if sorted(fm) != sorted(fn):
         return None
+    if "hyperplanes" not in n_memo:
+        n_memo["hyperplanes"] = n.hyperplanes()
+    hm, hn = m.hyperplanes(), n_memo["hyperplanes"]
     cands = [[f for f in range(n.n) if fn[f] == fm[e]] for e in range(m.n)]
     # most-constrained-first element order keeps the search shallow
     order = sorted(range(m.n), key=lambda e: len(cands[e]))
     image = [-1] * m.n
     used = [False] * n.n
-    r = m.full_rank
-    # mapped prefix subsets of at most max(r - 1, 0) elements, with images
-    pairs: list[tuple[int, int]] = [(0, 0)]
-    colours = None  # (colour_m, rows_m, colour_n, rows_n) once the search has backtracked
 
-    def extend(depth: int) -> bool | None:
-        """True once the map is complete, False when this branch is
-        exhausted, None when the colour rows rule out every map."""
-        nonlocal colours
+    def extend(depth: int, keys_m: list[int], keys_n: list[int]) -> bool:
+        # keys_m[i] has bit d set when hm[i] holds order[d]; keys_n likewise
+        # with the images
         if depth == m.n:
             return True
         e = order[depth]
-        be = 1 << e
+        keys_m = [k | (h >> e & 1) << depth for k, h in zip(keys_m, hm)]
+        want = Counter(keys_m)
         for f in cands[e]:
             if used[f]:
                 continue
-            if colours is not None:
-                cm, rows_m, cn, rows_n = colours
-                ce, cf = cm[e], cn[f]
-                if rows_m[e] != rows_n[f] or any(ce[x] != cf[image[x]] for x in order[:depth]):
-                    continue
-            bf = 1 << f
-            base = len(pairs)
-            ok = True
-            for i in range(base):
-                mm, nn = pairs[i]
-                if m.rank(mm | be) != n.rank(nn | bf):
-                    ok = False
-                    break
-                if mm.bit_count() < r - 1:
-                    pairs.append((mm | be, nn | bf))
-            if ok:
-                image[e] = f
-                used[f] = True
-                found = extend(depth + 1)
-                if found is not False:
-                    return found
-                used[f] = False
-                image[e] = -1
-                if colours is None:  # the first backtrack: escalate in place
-                    if "colours" not in n_memo:
-                        n_memo["colours"] = _pair_colours(n)
-                    colours = *_pair_colours(m), *n_memo["colours"]
-                    if sorted(colours[1]) != sorted(colours[3]):
-                        return None
-            del pairs[base:]
+            grown = [k | (h >> f & 1) << depth for k, h in zip(keys_n, hn)]
+            if Counter(grown) != want:
+                continue
+            image[e] = f
+            used[f] = True
+            if extend(depth + 1, keys_m, grown):
+                return True
+            used[f] = False
         return False
 
-    if extend(0):
+    if extend(0, [0] * len(hm), [0] * len(hn)):
         return IsoCertificate(tuple(image))
     return None
 
@@ -287,7 +240,7 @@ def has_minor(m: Matroid, n: Matroid) -> MinorWitness | None:
         raise SizeCapError(f"minor search needs |E| <= {MINOR_CAP}, got {m.n}")
     n_loops = n.loops().bit_count()
     n_eps = n.epsilon()
-    n_memo: dict = {}  # the target's fingerprints and colours, once a candidate needs them
+    n_memo: dict = {}  # the target's fingerprints and hyperplanes, once a candidate needs them
     full = (1 << m.n) - 1
     for cmask in ksubset_masks(m.n, csize):
         if m.rank(cmask) != csize:

@@ -5,7 +5,7 @@ import random
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from mforge import (
@@ -326,6 +326,9 @@ _RANK_4_GF7 = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 2, 3, 4), (0, 0, 1, 0), (0, 0, 0,
                (6, 5, 4, 3), (0, 0, 0, 0)]
 
 
+# one fixed seed: the census below counts these draws, and the
+# derandomized profile would otherwise seed them from this function's source
+@seed(0)
 @settings(max_examples=150)
 @given(m=_linear_matroids())
 @example(m=LinearMatroid(field_new(3), [(1, 2, 0), (0, 0, 0), (2, 1, 0), (1, 1, 0), (0, 2, 0)]))
@@ -359,10 +362,10 @@ def test_linear_matroid_draws_are_spread():
     # five or more elements, so a kernel that only goes wrong once two
     # bases differ meets them
     shapes = _point_table_draws()
-    # measured: 135 of the 155 draws have two or more bases, 95 have n >= 5
+    # measured: 110 of the 155 draws have two or more bases, 92 have n >= 5
     assert len(shapes) == 155
-    assert sum(b >= 2 for _, b in shapes) >= 120
-    assert sum(n >= 5 for n, _ in shapes) >= 85
+    assert sum(b >= 2 for _, b in shapes) >= 99
+    assert sum(n >= 5 for n, _ in shapes) >= 83
 
 
 @st.composite
@@ -519,6 +522,8 @@ def _definition_cocircuits(ranks, n):
                   and all(ranks[x | (1 << e)] == r for e in bits(full ^ x)))
 
 
+# one fixed seed, as for _point_table_property: the census counts these draws
+@seed(0)
 @settings(max_examples=120)
 @given(pair=_view_stacks())
 def _stacks_against_definitions(seen, pair):
@@ -537,12 +542,12 @@ def _stacks_against_definitions(seen, pair):
 def test_view_stacks_against_definitions():
     seen = []
     _stacks_against_definitions(seen)
-    # the census counts this property's own draws; measured: 48 of the 120
-    # stacks hold a minor, 34 a parallel connection, 25 a truncation, 25 a
-    # principal extension, 17 a dual and 15 a direct sum
+    # the census counts this property's own draws; measured: 52 of the 120
+    # stacks hold a minor, 38 a parallel connection, 34 a truncation, 29 a
+    # principal extension, 18 a dual and 13 a direct sum
     assert len(seen) == 120
-    floors = {"MinorView": 43, "ParallelConnectionView": 30, "TruncationView": 22,
-              "PrincipalExtensionView": 22, "DualView": 15, "DirectSumView": 13}
+    floors = {"MinorView": 47, "ParallelConnectionView": 34, "TruncationView": 31,
+              "PrincipalExtensionView": 26, "DualView": 16, "DirectSumView": 12}
     census = {name: sum(name in kinds for kinds in seen) for name in floors}
     assert all(census[name] >= floor for name, floor in floors.items()), census
 
@@ -1028,20 +1033,28 @@ def test_bases_hyperplanes_match_generic_search():
         Matroid._flats_impl(line, 1)
 
 
-def test_pair_colours_of_a_bases_document_skip_the_generic_search(monkeypatch):
-    from mforge.minors import _pair_colours
+def test_isomorphism_of_bases_documents_skips_the_generic_search(monkeypatch):
+    # the isomorphism search reads the hyperplanes of two loaded bases
+    # documents off their bases lists, with no flat search at that rank
+    from mforge import are_isomorphic, iso_is_valid
     from mforge.serialize import matroid_from_json, matroid_to_json
 
-    spike = free_spike(5).matroid
-    want = _pair_colours(spike)
-    loaded = matroid_from_json(matroid_to_json(spike))
-    assert isinstance(loaded, BasesMatroid)
+    spike = materialize_bases(free_spike(5).matroid)
+    perm = list(range(spike.n))
+    random.Random(5).shuffle(perm)
+    relabelled = BasesMatroid(spike.n, [mask_of(perm[e] for e in bits(b)) for b in spike.bases])
+    a, b = (matroid_from_json(matroid_to_json(m)) for m in (spike, relabelled))
+    assert isinstance(a, BasesMatroid) and isinstance(b, BasesMatroid)
+    flats_impl = Matroid._flats_impl
 
-    def refuse(self, k):
-        raise AssertionError(f"generic flat search on {self!r} at rank {k}")
+    def refuse_hyperplanes(self, k):
+        if k == self.full_rank - 1:
+            raise AssertionError(f"generic flat search on {self!r} at rank {k}")
+        return flats_impl(self, k)  # the fingerprints' lines
 
-    monkeypatch.setattr(Matroid, "_flats_impl", refuse)
-    assert _pair_colours(loaded) == want
+    monkeypatch.setattr(Matroid, "_flats_impl", refuse_hyperplanes)
+    cert = are_isomorphic(a, b)
+    assert cert is not None and iso_is_valid(a, b, cert.mapping)
 
 
 def test_bases_verification_above_cap_refuses():

@@ -1,6 +1,5 @@
 import itertools
 import random
-import sys
 import time
 
 import pytest
@@ -11,8 +10,10 @@ from mforge import (
     BasesMatroid,
     LemmaViolationError,
     LinearMatroid,
+    Matroid,
     NotAnExtensionError,
     RepresentableInputError,
+    ag,
     are_isomorphic,
     corpus_generate,
     dense_restriction,
@@ -340,9 +341,9 @@ def test_are_isomorphic_matches_all_subsets_search():
 
 
 def _fingerprint_search(m, n):
-    """are_isomorphic's search without pair colours: the reference for the
-    maps it returns, since colours may only drop candidates that have no
-    completion."""
+    """are_isomorphic's element and candidate order, pruned by rank checks
+    on the mapped prefix: the reference for the maps it returns, since both
+    searches return the first isomorphism in that order."""
     if m.n != n.n or m.full_rank != n.full_rank:
         return None
     fm, fn = _fingerprints(m), _fingerprints(n)
@@ -401,7 +402,7 @@ def _relabelled_copies(m, rng, count):
 @pytest.mark.parametrize("k,count,checked", [(4, 3, 3), (5, 3, 3), (6, 2, 1)])
 def test_spike_and_swirl_relabellings(family, k, count, checked):
     # swirl and spike fingerprints do not tell elements apart, so these
-    # searches backtrack and prune by pair colours; the reference search
+    # searches lean on the hyperplane traces; the reference search
     # takes up to seconds per relabelling at k = 6, so it checks one there
     pairs = _relabelled_copies(family(k).matroid, random.Random(k), count)
     for i, (a, b) in enumerate(pairs):
@@ -411,29 +412,31 @@ def test_spike_and_swirl_relabellings(family, k, count, checked):
             assert cert.mapping == _fingerprint_search(a, b)
 
 
-def test_escalation_goes_on_in_place(monkeypatch):
-    # a spike's fingerprints do not tell its elements apart, so the search
-    # backtracks and computes pair colours once per side; it goes on from
-    # there, so the search starts once
+def test_iso_search_asks_no_rank(monkeypatch):
+    # the search prunes and decides by hyperplane traces alone, so once a
+    # first call has filled the fingerprint and hyperplane memos, a second
+    # asks no rank and no closure
     (a, b), = _relabelled_copies(free_spike(5).matroid, random.Random(5), 1)
-    coloured, starts = [], []
-    pair_colours = minors._pair_colours
-    monkeypatch.setattr(minors, "_pair_colours", lambda m: coloured.append(m) or pair_colours(m))
+    affine = ag(3, 4).matroid
+    perm = list(range(affine.n))
+    random.Random(4).shuffle(perm)
+    pairs = [(a, b), (affine, _relabel(affine, perm))]
+    certs = [are_isomorphic(m, n) for m, n in pairs]
+    assert None not in certs
+    calls = []
 
-    def profile(frame, event, arg):
-        code = frame.f_code
-        if (event == "call" and code.co_name == "extend"
-                and code.co_filename == minors.__file__ and frame.f_locals["depth"] == 0):
-            starts.append(frame.f_lineno)
+    def counting(name, method):
+        def wrapped(self, *args):
+            calls.append(name)
+            return method(self, *args)
+        return wrapped
 
-    saved = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        cert = are_isomorphic(a, b)
-    finally:
-        sys.setprofile(saved)
-    assert cert is not None and cert.mapping == _fingerprint_search(a, b)
-    assert len(coloured) == 2 and len(starts) == 1
+    monkeypatch.setattr(Matroid, "rank", counting("rank", Matroid.rank))
+    for cls in (BasesMatroid, LinearMatroid):
+        for name in ("_rank_mask", "_closure_mask"):
+            monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+    assert [are_isomorphic(m, n) for m, n in pairs] == certs
+    assert calls == []
 
 
 @pytest.mark.parametrize("k", [4, 5, 6])
@@ -444,6 +447,20 @@ def test_spike_is_not_a_swirl(k):
     (a, _), = _relabelled_copies(spike, random.Random(k), 1)
     assert are_isomorphic(a, swirl) is None
     assert are_isomorphic(swirl, a) is None
+
+
+def test_traces_prune_by_counts():
+    # an image must lie on as many hyperplanes of each trace as its preimage;
+    # key sets in place of multisets keep the leaf exact but prune so little
+    # that these searches take over a minute, against a fraction of a second
+    spike, swirl = free_spike(7).matroid, free_swirl(7).matroid
+    (a, _), = _relabelled_copies(spike, random.Random(7), 1)
+    (b, c), = _relabelled_copies(swirl, random.Random(7), 1)
+    t0 = time.perf_counter()
+    assert are_isomorphic(a, swirl) is None
+    cert = are_isomorphic(b, c)
+    assert time.perf_counter() - t0 < 2.0
+    assert cert is not None and iso_is_valid(b, c, cert.mapping)
 
 
 @st.composite
@@ -546,6 +563,18 @@ def test_fingerprints_match_pairwise_closures():
 def test_fingerprints_on_view_stacks(pair):
     m, ref = pair
     assert _fingerprints(m) == _pairwise_fingerprints(ref)
+
+
+@settings(max_examples=60)
+@given(_view_stacks(), st.data())
+def test_are_isomorphic_on_view_stacks(pair, data):
+    # a view's own hyperplanes decide its isomorphism with a relabelled
+    # bases copy of the second build; the rank-checking search is the
+    # reference for the map
+    m, ref = pair
+    other = _relabel(materialize_bases(ref), data.draw(st.permutations(range(m.n))))
+    cert = are_isomorphic(m, other)
+    assert cert is not None and cert.mapping == _fingerprint_search(m, other)
 
 
 def _closure_loop_step(m, q, e):
