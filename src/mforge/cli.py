@@ -85,7 +85,7 @@ def _parse_caps(text: str | None) -> dict:
     return out
 
 
-def _emit(doc: dict, out: str | None) -> None:
+def _emit(doc: dict, out: str | None = None) -> None:
     text = json.dumps(doc, sort_keys=True)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -105,13 +105,7 @@ def _cmd_construct(args) -> int:
     m = nm.matroid
     if args.out:
         save_path(m, args.out)
-    summary = {
-        "name": nm.name,
-        "n": m.n,
-        "rank": m.full_rank,
-        "epsilon": m.epsilon(),
-    }
-    print(json.dumps(summary, sort_keys=True))
+    _emit({"name": nm.name, "n": m.n, "rank": m.full_rank, "epsilon": m.epsilon()})
     return 0
 
 
@@ -119,11 +113,7 @@ def _cmd_eps(args) -> int:
     from .serialize import load_path
 
     m = load_path(args.matroid)
-    print(
-        json.dumps(
-            {"n": m.n, "rank": m.full_rank, "epsilon": m.epsilon()}, sort_keys=True
-        )
-    )
+    _emit({"n": m.n, "rank": m.full_rank, "epsilon": m.epsilon()})
     return 0
 
 
@@ -135,12 +125,7 @@ def _cmd_density(args) -> int:
     dense = m.is_q_dense(q)  # validates q before the threshold divides by q - 1
     eps = m.epsilon()
     threshold = (q**m.full_rank - 1) // (q - 1)
-    print(
-        json.dumps(
-            {"epsilon": eps, "threshold": threshold, "dense": dense, "q": q},
-            sort_keys=True,
-        )
-    )
+    _emit({"epsilon": eps, "threshold": threshold, "dense": dense, "q": q})
     return 0 if dense else 1
 
 
@@ -153,7 +138,7 @@ def _cmd_has_minor(args) -> int:
     target = load_path(args.target)
     wit = has_minor(host, target)
     if wit is None:
-        print(json.dumps({"found": False}))
+        _emit({"found": False})
         return 1
     if not minor_is_valid(host, target, wit):
         raise MforgeError("internal: minor witness failed re-verification")
@@ -163,7 +148,7 @@ def _cmd_has_minor(args) -> int:
         "delete": sorted(bits(wit.delete)),
         "mapping": list(wit.iso.mapping),
     }
-    print(json.dumps(doc, sort_keys=True))
+    _emit(doc)
     return 0
 
 
@@ -175,11 +160,11 @@ def _cmd_iso(args) -> int:
     b = load_path(args.b)
     cert = are_isomorphic(a, b)
     if cert is None:
-        print(json.dumps({"isomorphic": False}))
+        _emit({"isomorphic": False})
         return 1
     if not iso_is_valid(a, b, cert.mapping):
         raise MforgeError("internal: certificate failed re-verification")
-    print(json.dumps({"isomorphic": True, "mapping": list(cert.mapping)}, sort_keys=True))
+    _emit({"isomorphic": True, "mapping": list(cert.mapping)})
     return 0
 
 
@@ -194,7 +179,7 @@ def _cmd_rep(args) -> int:
             "beta1": wit.beta1,
             "beta2": wit.beta2,
         }
-    print(json.dumps(doc, sort_keys=True))
+    _emit(doc)
     return 0 if pred else 1
 
 

@@ -8,8 +8,11 @@ modulus is the lexicographically smallest monic irreducible polynomial of
 degree k over GF(p), comparing coefficient vectors constant term first;
 for k = 1 the placeholder modulus is the polynomial x.
 
-For q <= 256 addition and multiplication tables are precomputed, so the
-arithmetic operations are O(1) lookups.  GF objects are immutable.
+Addition and multiplication are each defined once, on coefficient vectors
+(_add_c, _mul_c).  For q <= 256 they fill tables, so the arithmetic
+operations are O(1) lookups and negatives and inverses are read off the
+table rows; above 256 the same two functions run on each call.  GF objects
+are immutable.
 """
 
 from __future__ import annotations
@@ -98,8 +101,6 @@ def _poly_mul(f: list[int], g: list[int], p: int) -> list[int]:
 
 def _is_irreducible(f: list[int], p: int) -> bool:
     deg = len(f) - 1
-    if deg == 1:
-        return True
     for d in range(1, deg // 2 + 1):
         for m in range(p**d):
             g = _digits(m, p, d) + [1]  # monic of degree d
@@ -205,42 +206,37 @@ class GF:
 
     # -- arithmetic --------------------------------------------------------
 
+    def _add_c(self, ca, cb) -> int:
+        """Index of the sum of two coefficient vectors."""
+        p = self.p
+        return self.from_coeffs((x + y) % p for x, y in zip(ca, cb))
+
+    def _mul_c(self, ca, cb) -> int:
+        """Index of the product of two coefficient vectors, reduced by the modulus."""
+        p = self.p
+        if self.k == 1:
+            return ca[0] * cb[0] % p
+        return self.from_coeffs(_poly_mod(_poly_mul(ca, cb, p), self.modulus, p))
+
     def _build_tables(self):
-        q, p, k = self.q, self.p, self.k
+        q = self.q
         coeff = [self.coeffs(a) for a in range(q)]
         add = [[0] * q for _ in range(q)]
-        neg = [0] * q
+        mul = [[0] * q for _ in range(q)]
         for a in range(q):
             ca = coeff[a]
-            neg[a] = self.from_coeffs((-c) % p for c in ca)
             for b in range(a, q):
-                s = self.from_coeffs((x + y) % p for x, y in zip(ca, coeff[b]))
-                add[a][b] = s
-                add[b][a] = s
-        mod = list(self.modulus)
-        mul = [[0] * q for _ in range(q)]
-        for a in range(1, q):
-            fa = _poly_trim(list(coeff[a]))
-            for b in range(a, q):
-                fb = _poly_trim(list(coeff[b]))
-                r = _poly_mod(_poly_mul(fa, fb, p), mod, p) if k > 1 else [(a * b) % p]
-                v = self.from_coeffs(r + [0] * (k - len(r)))
-                mul[a][b] = v
-                mul[b][a] = v
-        inv = [0] * q
-        for a in range(1, q):
-            row = mul[a]
-            for b in range(1, q):
-                if row[b] == 1:
-                    inv[a] = b
-                    break
-        self._add, self._mul, self._inv, self._neg = add, mul, inv, neg
+                add[a][b] = add[b][a] = self._add_c(ca, coeff[b])
+                if a:
+                    mul[a][b] = mul[b][a] = self._mul_c(ca, coeff[b])
+        self._add, self._mul = add, mul
+        self._neg = [row.index(0) for row in add]
+        self._inv = [0] + [row.index(1) for row in mul[1:]]
 
     def add(self, a: int, b: int) -> int:
         if self._add is not None:
             return self._add[a][b]
-        p = self.p
-        return self.from_coeffs((x + y) % p for x, y in zip(self.coeffs(a), self.coeffs(b)))
+        return self._add_c(self.coeffs(a), self.coeffs(b))
 
     def neg(self, a: int) -> int:
         if self._neg is not None:
@@ -261,17 +257,7 @@ class GF:
     def mul(self, a: int, b: int) -> int:
         if self._mul is not None:
             return self._mul[a][b]
-        if a == 0 or b == 0:
-            return 0
-        p, k = self.p, self.k
-        if k == 1:
-            return (a * b) % p
-        r = _poly_mod(
-            _poly_mul(_poly_trim(list(self.coeffs(a))), _poly_trim(list(self.coeffs(b))), p),
-            list(self.modulus),
-            p,
-        )
-        return self.from_coeffs(r + [0] * (k - len(r)))
+        return self._mul_c(self.coeffs(a), self.coeffs(b))
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -224,15 +224,16 @@ def has_minor(m: Matroid, n: Matroid) -> MinorWitness | None:
     minor is reachable in that form, so absence is definitive.  A U(2,k)
     target is refused at once when M has no k-point-line minor: every rank-2
     minor is M/C\\D with cl(C) a coline, so longest_line_minor is exact.  That
-    shortcut only prunes negatives, and it runs before the size cap; positives
-    come from the canonical search, or from _line_minor_witness above MINOR_CAP.
+    shortcut only prunes negatives; positives come from the canonical search.
+    Above MINOR_CAP a U(2,k) target is answered by _line_minor_witness alone,
+    which returns None exactly when longest_line_minor(M) < k.
     """
     line = _is_uniform_line(n)
     if line is not None:
-        if longest_line_minor(m) < line:
-            return None
         if m.n > MINOR_CAP:
             return _line_minor_witness(m, line)
+        if longest_line_minor(m) < line:
+            return None
     csize = m.full_rank - n.full_rank
     if n.n > m.n or csize < 0:
         return None

@@ -172,16 +172,20 @@ def _swirl_rep(k: int, q: int, prime) -> bool:
 def brute_force_linear_rep(m: Matroid, q: int) -> LinearMatroid | None:
     """Search for a GF(q) representation by distinct projective points.
 
-    Backtracking assignment of the columns of PG(r-1, q), with
-    rank-agreement pruning on every subset of the assigned prefix, ranked
-    by the geometry's memoized oracle; a found representation is
-    re-verified on all 2^n subsets before being returned, and absence is
-    definitive.  The input must be simple (distinct points cannot
-    represent loops or parallel pairs).  Capped at rank 3, 8 elements,
-    q <= 7.
+    GL(r, q) carries any ordered basis onto the unit vectors, so some
+    representation, if any exists, puts the greedy basis b_0 < ... < b_(r-1)
+    of m on the unit points e_0, ..., e_(r-1) (the normal form of Oxley,
+    Matroid Theory, section 6.4).  The basis is fixed there, and only the
+    other elements are searched: backtracking over the columns of
+    PG(r-1, q) in element order, with rank-agreement pruning on every
+    subset of the placed prefix, ranked by the geometry's memoized oracle.
+    A found representation is re-verified on all 2^n subsets before being
+    returned, and absence is definitive.  The input must be simple
+    (distinct points cannot represent loops or parallel pairs).  Capped at
+    rank 3, 8 elements, q <= 7.
     """
     from .constructions import pg
-    from .matroid import LinearMatroid  # only this oracle needs matroid.py
+    from .matroid import LinearMatroid, bits  # only this oracle needs matroid.py
 
     r = m.full_rank
     if r > 3 or m.n > 8 or q > 7:
@@ -191,15 +195,15 @@ def brute_force_linear_rep(m: Matroid, q: int) -> LinearMatroid | None:
     if m.n == 0:
         return LinearMatroid(GF(q), [])
     geometry = pg(r, q).matroid  # one column per projective point, in order
+    basis = bits(m._greedy_basis((1 << m.n) - 1))
+    unit = {e: geometry.columns.index(tuple(int(i == j) for j in range(r)))
+            for i, e in enumerate(basis)}
     on = [0]  # on[sub]: mask of the points placed for the elements in sub
 
     def place(e: int) -> bool:
         if e == m.n:
             return True
-        # the first element may go to the first unit point: projective maps
-        # act transitively, so this loses no representations
-        cand = [geometry.columns.index((1,) + (0,) * (r - 1))] if e == 0 else range(geometry.n)
-        for i in cand:
+        for i in [unit[e]] if e in unit else range(geometry.n):
             bit = 1 << i
             if on[-1] & bit:
                 continue

@@ -314,6 +314,7 @@ def _check_extension(geom, m: int, q: int, flat: int, want_tag: str, target) -> 
 
 def _suite_lemma6(seed: int, caps: CorpusCaps) -> list:
     from .constructions import pg, principal_geometry_extension
+    from .matroid import bits, mask_of
 
     cases = []
     geom = pg(4, 2).matroid
@@ -328,9 +329,9 @@ def _suite_lemma6(seed: int, caps: CorpusCaps) -> list:
         )
     big = pg(6, 2).matroid
     on_line, on_plane = (principal_geometry_extension(3, 2, k).matroid for k in (2, 3))
-    line = big.flats_of_rank(2)[0]
-    plane = big.flats_of_rank(3)[0]
     full = (1 << big.n) - 1
+    first = bits(big._greedy_basis(full))  # the flats principal_geometry_extension uses
+    line, plane = (big.closure(mask_of(first[:k])) for k in (2, 3))
     for name, flat, want, minor in (("line", line, "P(2,2,2)", on_line),
                                     ("plane", plane, "P(2,2,3)", on_plane),
                                     ("full", full, "P(2,2,3)", on_plane)):

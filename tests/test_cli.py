@@ -355,6 +355,15 @@ def test_iso_rank_mismatch_above_the_cap_exits_one(tmp_path, capsys):
     assert json.loads(out) == {"isomorphic": False}
 
 
+def test_has_minor_above_the_cap_exits_two(tmp_path, capsys):
+    host, target = tmp_path / "host.json", tmp_path / "target.json"
+    save_path(mforge.pg(5, 2).matroid, str(host))
+    save_path(mforge.pg(3, 2).matroid, str(target))
+    code, out, err = run(capsys, "has-minor", str(host), str(target))
+    assert (code, out) == (2, "")
+    assert err == "mforge: minor search needs |E| <= 24, got 31\n"
+
+
 def _modules_after(code: str, *argv) -> set[str]:
     """Modules a fresh process holds after running code with ARGV."""
     src = str(Path(mforge.__file__).parents[1])

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -103,3 +104,20 @@ def test_element_counts():
         gf = field_new(q)
         assert len(list(gf.elements())) == q
         assert len(list(gf.nonzero())) == q - 1
+
+
+@pytest.mark.parametrize("q", [512, 729])
+def test_untabled_fields_satisfy_sampled_axioms(q):
+    gf = field_new(q)
+    assert gf._add is None  # above the table limit every operation computes
+    rng = random.Random(q)
+    for _ in range(300):
+        a, b, c = (rng.randrange(q) for _ in range(3))
+        assert gf.add(a, b) == gf.add(b, a) and gf.mul(a, b) == gf.mul(b, a)
+        assert gf.add(gf.add(a, b), c) == gf.add(a, gf.add(b, c))
+        assert gf.mul(gf.mul(a, b), c) == gf.mul(a, gf.mul(b, c))
+        assert gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
+        assert gf.add(a, 0) == a and gf.mul(a, 1) == a and gf.mul(a, 0) == 0
+        assert gf.add(a, gf.neg(a)) == 0
+        if a:
+            assert gf.mul(a, gf.inv(a)) == 1

@@ -1448,3 +1448,14 @@ def test_minor_run_masks_match_the_bit_loop():
         for p in [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(30)]:
             assert view._drop_mask(p) == _bitwise_drop(kept, p)
     assert 19 in widths and 1 in widths
+
+
+def test_materialize_bases_refuses_too_many_candidates():
+    # C(63, 6) candidate 6-sets of PG(5,2), past the 2,000,000 guard
+    with pytest.raises(SizeCapError, match="^too many candidate bases to enumerate$"):
+        materialize_bases(pg(6, 2).matroid)
+
+
+def test_rank_axiom_sweep_refuses_more_than_16_elements():
+    with pytest.raises(SizeCapError, match="^axiom sweep needs n <= 16$"):
+        rank_axioms_hold(uniform(2, 17).matroid)

@@ -13,6 +13,7 @@ from mforge import (
     Matroid,
     NotAnExtensionError,
     RepresentableInputError,
+    SizeCapError,
     ag,
     are_isomorphic,
     corpus_generate,
@@ -715,9 +716,14 @@ def test_has_minor_finds_planted_minors(q, line, seed):
 
 
 def test_line_precheck_runs_before_the_size_cap(monkeypatch):
-    # PG(4,2) has 31 > MINOR_CAP elements; its longest line minor has 3 points
+    # PG(4,2) has 31 > MINOR_CAP elements; its longest line minor has 3 points.
+    # Above the cap the line witness answers alone, with one count of the
+    # hyperplane meets per call; running longest_line_minor first made two.
     host = pg(5, 2).matroid
     assert host.n == 31 and host.n > minors.MINOR_CAP
+    calls = []
+    meets = minors._hyperplane_meets
+    monkeypatch.setattr(minors, "_hyperplane_meets", lambda m: calls.append(m) or meets(m))
     witness = has_minor(host, uniform(2, 3).matroid)
     assert witness == minors.MinorWitness(
         contract=mask_of([0, 1, 3]),
@@ -725,9 +731,11 @@ def test_line_precheck_runs_before_the_size_cap(monkeypatch):
                         24, 25, 26, 27, 28, 29, 30]),
         iso=minors.IsoCertificate((0, 1, 2)),
     )
-
-    def _refuse(m, size):
-        raise AssertionError("the line pre-check should refuse U(2,4) first")
-
-    monkeypatch.setattr(minors, "_line_minor_witness", _refuse)
+    assert len(calls) == 1
     assert has_minor(host, uniform(2, 4).matroid) is None
+    assert len(calls) == 2
+
+
+def test_minor_search_refuses_hosts_above_the_cap():
+    with pytest.raises(SizeCapError, match=r"^minor search needs \|E\| <= 24, got 31$"):
+        has_minor(pg(5, 2).matroid, pg(3, 2).matroid)

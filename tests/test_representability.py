@@ -1,11 +1,14 @@
 import hashlib
 import json
+import random
+import time
 from itertools import combinations_with_replacement
 
 import pytest
 
 from mforge import (
     ClassSpec,
+    LinearMatroid,
     SizeCapError,
     SpikeWitness,
     brute_force_linear_rep,
@@ -161,6 +164,56 @@ def test_brute_force_rep_known_cases():
     spike3 = free_spike(3).matroid
     assert brute_force_linear_rep(spike3, 3) is None
     assert brute_force_linear_rep(spike3, 4) is not None
+
+
+def _placement_oracle(m, q) -> bool:
+    """The oracle's search before the normal form: only element 0 is fixed,
+    at the first unit point, and every later element tries every point."""
+    r = m.full_rank
+    geometry = pg(r, q).matroid
+    on = [0]
+
+    def place(e: int) -> bool:
+        if e == m.n:
+            return True
+        cand = [geometry.columns.index((1,) + (0,) * (r - 1))] if e == 0 else range(geometry.n)
+        for i in cand:
+            bit = 1 << i
+            if on[-1] & bit:
+                continue
+            if all(m.rank(sub | (1 << e)) == geometry.rank(on[sub] | bit) for sub in range(1 << e)):
+                on.extend([x | bit for x in on])
+                if place(e + 1):
+                    return True
+                del on[1 << e:]
+        return False
+
+    return place(0)
+
+
+def test_brute_force_rep_agrees_with_the_placement_search():
+    # shuffled random points of PG(r-1, q0), so the first r elements are often
+    # dependent and the greedy basis skips some; GF(4) and GF(5) only up to 6
+    # elements, where the reference search stays fast on negatives
+    rng = random.Random(7)
+    answers = []
+    for _ in range(60):
+        q0, r = rng.choice((2, 3, 4, 5)), rng.choice((2, 3))
+        points = list(pg(r, q0).matroid.columns)
+        m = LinearMatroid(field_new(q0), rng.sample(points, rng.randint(r, min(8, len(points)))))
+        for q in (2, 3, 4, 5) if m.n <= 6 else (2, 3):
+            rep = brute_force_linear_rep(m, q)
+            assert (rep is not None) == _placement_oracle(m, q), (m.columns, q)
+            answers.append(rep is not None)
+    assert answers.count(True) >= 100 and answers.count(False) >= 20
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_brute_force_rep_refuses_fano_quickly(q):
+    # the placement search took seconds over GF(5) and a minute over GF(7)
+    started = time.monotonic()
+    assert brute_force_linear_rep(pg(3, 2).matroid, q) is None
+    assert time.monotonic() - started < 2.0
 
 
 def test_brute_force_rep_caps_and_validation():
