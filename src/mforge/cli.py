@@ -85,13 +85,16 @@ def _parse_caps(text: str | None) -> dict:
     return out
 
 
-def _emit(doc: dict, out: str | None = None) -> None:
-    text = json.dumps(doc, sort_keys=True)
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
+
+
+def _emit(doc: dict, out: str | None = None) -> None:
+    _write(json.dumps(doc, sort_keys=True) + "\n", out)
 
 
 def _cmd_construct(args) -> int:
@@ -118,14 +121,14 @@ def _cmd_eps(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    from .matroid import pg_size
     from .serialize import load_path
 
     m = load_path(args.matroid)
-    q = args.q
-    dense = m.is_q_dense(q)  # validates q before the threshold divides by q - 1
+    threshold = pg_size(args.q, m.full_rank)
     eps = m.epsilon()
-    threshold = (q**m.full_rank - 1) // (q - 1)
-    _emit({"epsilon": eps, "threshold": threshold, "dense": dense, "q": q})
+    dense = eps > threshold
+    _emit({"epsilon": eps, "threshold": threshold, "dense": dense, "q": args.q})
     return 0 if dense else 1
 
 
@@ -229,12 +232,7 @@ def _cmd_verify(args) -> int:
         "prng": report.meta["prng"],
     }
     lines.append(json.dumps(summary, sort_keys=True))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0 if report.passed else 1
 
 

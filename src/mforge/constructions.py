@@ -28,6 +28,7 @@ from .matroid import (
     check_ground,
     ksubset_masks,
     mask_of,
+    pg_size,
 )
 from .records import FrozenRecord
 
@@ -70,7 +71,7 @@ def pg(n: int, q: int) -> NamedMatroid:
     if n < 1:
         raise ValueError("rank must be at least 1")
     gf = GF(q)
-    if n > POINT_CAP or (q**n - 1) // (q - 1) > POINT_CAP:  # n first: q^n stays small
+    if n > POINT_CAP or pg_size(q, n) > POINT_CAP:  # n first: q^n stays small
         raise SizeCapError(f"PG({n - 1},{q}) points exceed cap {POINT_CAP}")
     m = LinearMatroid(gf, projective_points(q, n))
     return NamedMatroid(m, name=f"PG({n - 1},{q})")

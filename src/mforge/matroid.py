@@ -123,6 +123,13 @@ def ksubset_masks(n: int, k: int):
         x = (((x ^ r) >> 2) // c) | r
 
 
+def pg_size(q: int, r: int) -> int:
+    """(q^r - 1)/(q - 1): the number of points of PG(r - 1, q), 0 at r = 0."""
+    if q < 2:
+        raise ValueError("density threshold requires q >= 2")
+    return (q**r - 1) // (q - 1)
+
+
 def check_ground(n: int) -> None:
     if n < 0 or n > GROUND_CAP:
         raise SizeCapError(f"ground size {n} outside [0, {GROUND_CAP}]")
@@ -340,11 +347,8 @@ class Matroid:
         return self.minor(0, full ^ keep), mapping
 
     def is_q_dense(self, q: int) -> bool:
-        """Whether the point count strictly exceeds (q^r - 1)/(q - 1)."""
-        if q < 2:
-            raise ValueError("density threshold requires q >= 2")
-        r = self.full_rank
-        return self.epsilon() * (q - 1) > q**r - 1
+        """Whether the point count strictly exceeds pg_size(q, r)."""
+        return pg_size(q, self.full_rank) < self.epsilon()
 
     # -- derived matroids -----------------------------------------------------------
 

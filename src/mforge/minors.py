@@ -37,7 +37,7 @@ from .errors import (
     RepresentableInputError,
     SizeCapError,
 )
-from .matroid import Matroid, bits, ksubset_masks, mask_of
+from .matroid import Matroid, bits, ksubset_masks, mask_of, pg_size
 from .records import FrozenRecord, Record
 
 ISO_CAP = 20
@@ -255,6 +255,7 @@ def has_minor(m: Matroid, n: Matroid) -> MinorWitness | None:
                 continue
             cert = are_isomorphic(cand, n, _n_memo=n_memo)
             if cert is not None:
+                # contract(0) is m: no lift_mask, or a MinorView's into its own parent
                 kept_m = keep if mc is m else mc.lift_mask(keep)
                 dmask = full ^ cmask ^ kept_m
                 return MinorWitness(cmask, dmask, cert)
@@ -282,6 +283,7 @@ def _line_minor_witness(m: Matroid, size: int) -> MinorWitness | None:
     keep = 0
     for cls in mc.point_classes()[:size]:
         keep |= cls & -cls
+    # contract(0) is m: no lift_mask, or a MinorView's into its own parent
     kept_m = keep if mc is m else mc.lift_mask(keep)
     dmask = ((1 << m.n) - 1) ^ basis ^ kept_m
     if _is_uniform_line(m.minor(basis, dmask)) == size:
@@ -381,7 +383,9 @@ def golden_positive(a: int, b: int) -> bool:
 
 
 def _phi_pow(d: int) -> tuple[int, int]:
-    """phi^d as (a, b) with phi^d = a + b*phi, d >= 0."""
+    """phi^d as (a, b) with phi^d = a + b*phi; d < 0 raises ValueError."""
+    if d < 0:
+        raise ValueError(f"phi exponent must be at least 0, got {d}")
     a, b = 1, 0
     for _ in range(d):
         a, b = b, a + b  # (a + b*phi)*phi = b + (a+b)*phi
@@ -395,7 +399,10 @@ def weighted_density_exceeds(eps: int, d: int, threshold: int) -> bool:
 
 
 def growth_hypothesis_holds(r: int, ell: int, t: int) -> bool:
-    """Exact test of (sqrt(5) - 1)^(r-1) >= ell^(t-1)."""
+    """Exact test of (sqrt(5) - 1)^(r-1) >= ell^(t-1); r < 1 or t < 1 raises
+    ValueError, since a negative power is not an integer pair."""
+    if r < 1 or t < 1:
+        raise ValueError(f"growth hypothesis needs r >= 1 and t >= 1, got r={r}, t={t}")
     u, v = 1, 0  # u + v*sqrt5
     for _ in range(r - 1):
         u, v = -u + 5 * v, u - v  # multiply by (-1 + sqrt5)
@@ -424,7 +431,7 @@ def dense_restriction(m: Matroid, q: int, t: int) -> DenseRestrictionReport:
     if not m.is_q_dense(q):
         raise ValueError("input must be q-dense")
     r = m.full_rank
-    threshold = (q**r - 1) // (q - 1)
+    threshold = pg_size(q, r)
     ell = max(longest_line_minor(m) - 1, 2)
     report = DenseRestrictionReport(
         restriction=(1 << m.n) - 1,
@@ -433,6 +440,7 @@ def dense_restriction(m: Matroid, q: int, t: int) -> DenseRestrictionReport:
     cur_mask = report.restriction
     while True:
         cur = m.restrict(cur_mask)
+        # restrict(full) is m: no lift_mask, or a MinorView's into its own parent
         lift = (lambda x: x) if cur is m else cur.lift_mask
         r0 = cur.full_rank
         if r0 < 2:
@@ -494,7 +502,7 @@ def unavoidable_minor_of_extension(
 
     mm = target_rank
     e = m.n - 1
-    n_pts = (q ** (2 * mm) - 1) // (q - 1)
+    n_pts = pg_size(q, 2 * mm)
     if m.full_rank != 2 * mm or m.n != n_pts + 1:
         raise NotAnExtensionError(
             f"need rank {2 * mm} on {n_pts + 1} elements, got rank {m.full_rank} on {m.n}"
@@ -532,7 +540,7 @@ def unavoidable_minor_of_extension(
 
     quotient = m.contract(contract)
     classes = quotient.point_classes()
-    if len(classes) != (q**mm - 1) // (q - 1) + 1:
+    if len(classes) != pg_size(q, mm) + 1:
         raise LemmaViolationError(f"contraction has {len(classes)} points, not the {tag} count")
     keep = 0
     for cls in classes:

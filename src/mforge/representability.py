@@ -135,13 +135,13 @@ def spike_rep_predicate(k: int, q: int) -> bool:
     Composite means a prime power that is not prime.
     """
     _check_pred_params(k, q)
-    return _spike_rep(k, q, is_prime)
+    return _group_rep(k, q, is_prime)
 
 
 def swirl_rep_predicate(k: int, q: int) -> bool:
     """Rank-k free swirl representable over GF(q): q-1 composite, or k <= q-3."""
     _check_pred_params(k, q)
-    return _swirl_rep(k, q, is_prime)
+    return _group_rep(k, q - 1, is_prime)
 
 
 def family_rep(family: str, k: int, q: int) -> tuple[bool, SpikeWitness | None]:
@@ -156,14 +156,11 @@ def family_rep(family: str, k: int, q: int) -> tuple[bool, SpikeWitness | None]:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _spike_rep(k: int, q: int, prime) -> bool:
-    """spike_rep_predicate on checked parameters; prime(x) tells whether x is prime."""
-    return not prime(q) or k <= q - 2
-
-
-def _swirl_rep(k: int, q: int, prime) -> bool:
-    """swirl_rep_predicate on checked parameters; prime(x) tells whether x is prime."""
-    return not prime(q - 1) or k <= q - 3
+def _group_rep(k: int, order: int, prime) -> bool:
+    """Closed form for a rank-k spike (order q) or swirl (order q - 1) on checked
+    parameters: the group order is composite, or k <= order - 2; prime(x)
+    tells whether x is prime."""
+    return not prime(order) or k <= order - 2
 
 
 # -- tiny linear-representability oracle -----------------------------------------------
@@ -294,10 +291,10 @@ def _member(kind: str, param: int, q: int, cls: str, prime) -> str:
         # the two-element groups admit no pair of distinct unattained targets
         return OUT if cls == "L" else UNKNOWN
     if kind == "spike":
-        return IN if cls != "L" or _spike_rep(param, q, prime) else OUT
+        return IN if cls != "L" or _group_rep(param, q, prime) else OUT
     if cls == "Llambda":
         return IN if param >= 4 else UNKNOWN
-    in_l = IN if _swirl_rep(param, q, prime) else OUT
+    in_l = IN if _group_rep(param, q - 1, prime) else OUT
     if cls == "Lcirc" and param < 4 and in_l == OUT:
         return UNKNOWN  # the iff transfer rule is only stated from rank 4 up
     return in_l
@@ -352,20 +349,10 @@ def eventual_base(spec: ClassSpec) -> BaseReport:
         return BaseReport(None, False, {}, ["no eligible prime power"])
     base = max(eligible)
 
+    cells = [("L", qq) for qq in powers if qq > base] + [("Lcirc", base), ("Llambda", base)]
     blocking: dict = {}
-    gaps: list = []
-    for qq in powers:
-        if qq <= base:
-            continue
-        hit = next((d for d in excl if _member(*d, qq, "L", prime) == IN), None)
-        key = f"L({qq})"
-        blocking[key] = _descr(*hit) if hit else None
-        if hit is None:
-            gaps.append(key)
-    for cls in ("Lcirc", "Llambda"):
-        hit = next((d for d in excl if _member(*d, base, cls, prime) == IN), None)
-        key = f"{cls}({base})"
-        blocking[key] = _descr(*hit) if hit else None
-        if hit is None:
-            gaps.append(key)
+    for cls, qq in cells:
+        hit = next((d for d in excl if _member(*d, qq, cls, prime) == IN), None)
+        blocking[f"{cls}({qq})"] = _descr(*hit) if hit else None
+    gaps = [key for key, hit in blocking.items() if hit is None]
     return BaseReport(base, not gaps, blocking, gaps)

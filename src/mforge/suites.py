@@ -170,13 +170,14 @@ def _suite_rank_axioms(seed: int, caps: CorpusCaps) -> list:
 # ----------------------------------------------------------- point bounds
 
 def _check_point_bound(m) -> dict:
+    from .matroid import pg_size
     from .minors import longest_line_minor
 
     r = m.full_rank
     eps = m.epsilon()
     longest = longest_line_minor(m)
     ell = max(longest - 1, 2)
-    bound = (ell**r - 1) // (ell - 1) if r > 0 else 0
+    bound = pg_size(ell, r)
     if eps > bound:
         return _fail(f"{eps} points exceeds bound {bound} at line cap {ell}", rank=r)
     return _ok(epsilon=eps, longest_line=longest, bound=bound)
@@ -184,11 +185,12 @@ def _check_point_bound(m) -> dict:
 
 def _check_point_bound_tight(r: int, ell: int) -> dict:
     from .constructions import pg
+    from .matroid import pg_size
     from .minors import longest_line_minor
 
     g = pg(r, ell).matroid
     eps = g.epsilon()
-    want = (ell**r - 1) // (ell - 1)
+    want = pg_size(ell, r)
     if eps != want:
         return _fail(f"geometry has {eps} points, want {want}")
     longest = longest_line_minor(g)
@@ -400,10 +402,11 @@ def _suite_rep_cross(seed: int, caps: CorpusCaps) -> list:
 
 def _check_growth(q: int, cls: str, n: int) -> dict:
     from .constructions import density_witness
+    from .matroid import pg_size
 
     nm = density_witness(q, cls, n)
     m = nm.matroid
-    pts = (q ** (n + 1) - 1) // (q - 1)
+    pts = pg_size(q, n + 1)
     want = pts if cls == "Lcirc" else pts - q
     eps = m.epsilon()
     if m.full_rank != n:

@@ -151,6 +151,14 @@ def test_criterion_10_eventual_base(capsys):
     _suite(capsys, 10, "eventual-base", 5, "all five base rows exact, one uncertified gap", check)
 
 
+def test_axiom_reports_match_the_reference():
+    # the criteria above compare the other eleven reports with the reference
+    reports = [run_suite(s) for s in ("field-axioms", "rank-axioms")]
+    assert all(r.passed for r in reports)
+    drifted = [r.suite for r in reports if not _matches_reference(r)]
+    assert not drifted, f"seed-0 case lines differ from the reference: {', '.join(drifted)}"
+
+
 # SHA-256 of the "\n"-joined case lines of each seed-dependent suite at seed
 # 23; every other suite's report does not depend on the seed.
 _SEED23_DIGESTS = {

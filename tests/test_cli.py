@@ -155,6 +155,14 @@ def test_eventual_base_command(capsys):
     assert json.loads(out)["gaps"] == ["Lcirc(4)"]
 
 
+def test_eventual_base_out_file_holds_the_stdout_bytes(tmp_path, capsys):
+    path = tmp_path / "base.json"
+    code, out, _ = run(capsys, "eventual-base", "--ell", "9")
+    assert code == 0
+    assert run(capsys, "eventual-base", "--ell", "9", "--out", str(path)) == (0, "", "")
+    assert path.read_bytes() == out.encode()
+
+
 @pytest.mark.parametrize("flag", ["--spikes", "--swirls"])
 def test_eventual_base_refuses_ranks_above_the_bound(flag, capsys):
     # refused before any membership check runs, like --ell above 10^6
@@ -239,7 +247,7 @@ def test_density_rejects_small_q(tmp_path, capsys):
     run(capsys, "construct", "pg", "n=3", "q=2", "--out", str(fano))
     code, out, err = run(capsys, "density", str(fano), "--q", "1")
     assert code == 2
-    assert out == "" and len(err.splitlines()) == 1
+    assert out == "" and err == "mforge: density threshold requires q >= 2\n"
 
 
 def test_construct_missing_parameter(capsys):

@@ -42,6 +42,7 @@ from mforge.matroid import (
     _gaussian_binomial,
     _iter_bits,
     _point,
+    pg_size,
     push_pivot,
     span_rank,
 )
@@ -89,6 +90,18 @@ def test_uniform_ranks():
     assert U24.full_rank == 2
     assert U24.independent(0b0011)
     assert not U24.independent(0b0111)
+
+
+def test_pg_size_is_the_point_count_of_pg():
+    assert [pg_size(2, r) for r in range(5)] == [0, 1, 3, 7, 15]
+    assert pg_size(3, 3) == 13 == pg(3, 3).matroid.epsilon()
+    for q in (1, 0, -2):
+        with pytest.raises(ValueError, match="density threshold requires q >= 2"):
+            pg_size(q, 3)
+        with pytest.raises(ValueError, match="density threshold requires q >= 2"):
+            FANO.is_q_dense(q)
+    assert not FANO.is_q_dense(2)  # 7 points, not more than 7
+    assert uniform(3, 8).matroid.is_q_dense(2)  # 8 points > 7
 
 
 def test_fano_geometry():

@@ -264,6 +264,10 @@ def test_iso_is_valid_rejects_wrong_map():
     assert not iso_is_valid(FANO, FANO, mapping)
 
 
+def test_iso_is_valid_rejects_equal_size_and_different_rank():
+    assert not iso_is_valid(uniform(2, 4).matroid, uniform(3, 4).matroid, (0, 1, 2, 3))
+
+
 def test_iso_is_valid_checks_every_basis_past_twelve():
     # U(3,14) against itself less one basis: the identity is wrong only on it
     u = uniform(3, 14).matroid
@@ -633,6 +637,19 @@ def test_growth_hypothesis_exact():
     assert growth_hypothesis_holds(21, 2, 3)
     assert not growth_hypothesis_holds(4, 13, 3)
     assert not growth_hypothesis_holds(2, 2, 2)  # sqrt5-1 = 1.236 < 2
+
+
+def test_weighted_density_refuses_a_negative_power():
+    # 3*phi^-2 = 1.15 < 2, but a negative power read as phi^0 would answer True
+    with pytest.raises(ValueError, match="phi exponent"):
+        weighted_density_exceeds(3, -2, 2)
+
+
+def test_growth_hypothesis_refuses_negative_powers():
+    # 2^-1 and (sqrt5-1)^-1 = (sqrt5+1)/4 have no integer form u + v*sqrt5
+    for r, t in ((3, 0), (0, 1), (1, -1)):
+        with pytest.raises(ValueError, match="r >= 1 and t >= 1"):
+            growth_hypothesis_holds(r, 2, t)
 
 
 def test_dense_restriction_worked_example():

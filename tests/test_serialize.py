@@ -48,6 +48,7 @@ def test_views_serialize_as_bases():
         free_swirl(4).matroid,
         two_sum_chain(2).matroid,
         pg(3, 2).matroid.dual(),
+        pg(4, 2).matroid,  # PG(3,2): 15 elements, so the sampled check runs
     ],
 )
 def test_roundtrip_rank_agreement(m):
