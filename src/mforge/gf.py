@@ -17,6 +17,8 @@ are immutable.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import NotPrimePowerError, SizeCapError
 
 _TABLE_LIMIT = 256
@@ -102,21 +104,10 @@ def _poly_mul(f: list[int], g: list[int], p: int) -> list[int]:
 def _is_irreducible(f: list[int], p: int) -> bool:
     deg = len(f) - 1
     for d in range(1, deg // 2 + 1):
-        for m in range(p**d):
-            g = _digits(m, p, d) + [1]  # monic of degree d
-            if not _poly_mod(f, g, p):
+        for coeffs in product(range(p), repeat=d):
+            if not _poly_mod(f, [*coeffs, 1], p):  # monic of degree d
                 return False
     return True
-
-
-def _digits(m: int, p: int, width: int) -> list[int]:
-    """Base-p digits of m, most significant first, padded to width."""
-    out = []
-    for _ in range(width):
-        out.append(m % p)
-        m //= p
-    out.reverse()
-    return out
 
 
 def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
@@ -127,9 +118,8 @@ def smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     """
     if k == 1:
         return (0, 1)
-    for m in range(p**k):
-        coeffs = _digits(m, p, k)  # (c_0, ..., c_{k-1}) in lex order
-        f = coeffs + [1]
+    for coeffs in product(range(p), repeat=k):  # (c_0, ..., c_{k-1}) in lex order
+        f = [*coeffs, 1]
         if _is_irreducible(f, p):
             return tuple(f)
     raise AssertionError("no irreducible polynomial found")  # unreachable
@@ -282,10 +272,6 @@ class GF:
 
     def to_json(self) -> dict:
         return {"p": self.p, "k": self.k, "modulus": list(self.modulus)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GF":
-        return cls.from_parts(int(obj["p"]), int(obj["k"]), tuple(obj["modulus"]))
 
     def __eq__(self, other):
         return (

@@ -18,15 +18,13 @@ parallel connection) that compute rank through their parent's oracle.
 
 Closure is a backend kernel like rank: Matroid.closure validates and
 memoizes, then calls _closure_mask, whose base version tests each element
-with a rank query; only a dual keeps that definition.  A LinearMatroid over
-any field answers with one elimination of X's points (the pivots span_rank
-leaves), and the other backends and views are exact too, with Xi the trace
-of X on side i, p the basepoint of a parallel connection or the new element
-of a principal extension on the flat F, and X' = X - p:
+with a rank query; a bases list and a dual keep that definition.  A
+LinearMatroid over any field answers with one elimination of X's points (the
+pivots span_rank leaves), and the views below compose their parents'
+closures, with Xi the trace of X on side i, p the basepoint of a parallel
+connection or the new element of a principal extension on the flat F, and
+X' = X - p:
 
-  bases                 cl(X) = X plus the loops plus each e outside X and
-                        B with no y in B - X making B - y + e a basis, B
-                        the basis whose part B & X spans X
   minor M/C\\D           cl(X) = cl_M(X + C) - C - D
   truncation to rank t  cl(X) = cl_M(X) if r(X) < t, else the ground set
   principal extension   cl(X) = cl_M(X') + p if F lies in cl_M(X');
@@ -729,9 +727,9 @@ class BasesMatroid(Matroid):
     the caller vouches that the list is a matroid's bases; rank and closure
     are exact only then.  Documents loaded from outside are always verified.
 
-    Rank and closure read the basis that _exchange_basis reaches from the
-    first basis: at most r(n - r) lookups in the set of bases per query,
-    whatever the length of the list.
+    Rank reads the basis that _exchange_basis reaches from the first basis:
+    at most r(n - r) lookups in the set of bases per query, whatever the
+    length of the list.  Closure is the definition, one rank per element.
     """
 
     def __init__(self, n: int, bases, verify: bool = True):
@@ -820,25 +818,6 @@ class BasesMatroid(Matroid):
 
     def _rank_mask(self, mask: int) -> int:
         return (self._exchange_basis(mask) & mask).bit_count()
-
-    def _closure_mask(self, mask: int) -> int:
-        """X, the loops, and each movable e outside X and B for which no movable
-        y in B - X makes B - y + e a basis, B = _exchange_basis(X): B & X spans
-        X, so e outside B is in cl(X) exactly when its fundamental circuit in B
-        avoids B - X, and no element of B - X is in cl(B & X)."""
-        bases, b, movable = self._bases, self._exchange_basis(mask), self._movable
-        swaps = [b ^ 1 << y for y in bits(b & movable & ~mask)]
-        out = mask | ((1 << self.n) - 1) & ~(movable | b)
-        rest = movable & ~(mask | b)
-        while rest:
-            e = rest & -rest
-            rest ^= e
-            for s in swaps:
-                if s | e in bases:
-                    break
-            else:
-                out |= e
-        return out
 
 
 # -- views ---------------------------------------------------------------------------

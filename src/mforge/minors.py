@@ -21,8 +21,9 @@ leaf.  Pruning drops only maps with no completion, so the first map found,
 and with it every certificate, is the first isomorphism in the search order.
 
 The golden-ratio-weighted comparisons used by dense_restriction are exact:
-values live in Z[phi] as integer pairs a + b*phi with phi^2 = phi + 1, and
-signs are decided by integer arithmetic alone, never floats.
+values live in Z[sqrt5] as integer pairs u + v*sqrt5, with phi^d read as
+(1 + sqrt5)^d / 2^d, and signs are decided by integer arithmetic alone, never
+floats.
 """
 
 from __future__ import annotations
@@ -362,7 +363,7 @@ def longline_step(m: Matroid, q: int, e: int) -> LonglineStep:
     )
 
 
-# -- exact Z[phi] and Z[sqrt5] comparisons -------------------------------------------------
+# -- exact Z[sqrt5] comparisons ----------------------------------------------------------
 
 
 def _sign_sqrt5(u: int, v: int) -> int:
@@ -377,25 +378,21 @@ def _sign_sqrt5(u: int, v: int) -> int:
     return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
 
 
-def golden_positive(a: int, b: int) -> bool:
-    """Whether a + b*phi > 0, phi the golden ratio."""
-    return _sign_sqrt5(2 * a + b, b) > 0
-
-
-def _phi_pow(d: int) -> tuple[int, int]:
-    """phi^d as (a, b) with phi^d = a + b*phi; d < 0 raises ValueError."""
-    if d < 0:
-        raise ValueError(f"phi exponent must be at least 0, got {d}")
-    a, b = 1, 0
+def _sqrt5_pow(a: int, d: int) -> tuple[int, int]:
+    """(a + sqrt5)^d as (u, v) with (a + sqrt5)^d = u + v*sqrt5, for d >= 0."""
+    u, v = 1, 0
     for _ in range(d):
-        a, b = b, a + b  # (a + b*phi)*phi = b + (a+b)*phi
-    return a, b
+        u, v = a * u + 5 * v, u + a * v
+    return u, v
 
 
 def weighted_density_exceeds(eps: int, d: int, threshold: int) -> bool:
-    """Exact test of eps * phi^d > threshold for integers eps, threshold, d >= 0."""
-    a, b = _phi_pow(d)
-    return golden_positive(eps * a - threshold, eps * b)
+    """Exact test of eps * phi^d > threshold for integers eps, threshold, d >= 0,
+    as eps * (1 + sqrt5)^d > threshold * 2^d, since 2*phi = 1 + sqrt5."""
+    if d < 0:
+        raise ValueError(f"phi exponent must be at least 0, got {d}")
+    u, v = _sqrt5_pow(1, d)
+    return _sign_sqrt5(eps * u - (threshold << d), eps * v) > 0
 
 
 def growth_hypothesis_holds(r: int, ell: int, t: int) -> bool:
@@ -403,9 +400,7 @@ def growth_hypothesis_holds(r: int, ell: int, t: int) -> bool:
     ValueError, since a negative power is not an integer pair."""
     if r < 1 or t < 1:
         raise ValueError(f"growth hypothesis needs r >= 1 and t >= 1, got r={r}, t={t}")
-    u, v = 1, 0  # u + v*sqrt5
-    for _ in range(r - 1):
-        u, v = -u + 5 * v, u - v  # multiply by (-1 + sqrt5)
+    u, v = _sqrt5_pow(-1, r - 1)
     return _sign_sqrt5(u - ell ** (t - 1), v) >= 0
 
 
@@ -443,8 +438,6 @@ def dense_restriction(m: Matroid, q: int, t: int) -> DenseRestrictionReport:
         # restrict(full) is m: no lift_mask, or a MinorView's into its own parent
         lift = (lambda x: x) if cur is m else cur.lift_mask
         r0 = cur.full_rank
-        if r0 < 2:
-            break
         full_local = (1 << cur.n) - 1
         split = next((c for c in cur.cocircuits() if cur.rank(c) <= r0 - 2), None)
         if split is None:

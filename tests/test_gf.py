@@ -1,9 +1,12 @@
+import hashlib
+import itertools
 import json
 import random
 
 import pytest
 
 from mforge import GF, NotPrimePowerError, SizeCapError, field_new, is_prime, prime_power
+from mforge.gf import _is_irreducible, prime_powers_upto, smallest_irreducible
 
 
 def test_prime_power_factoring():
@@ -87,9 +90,45 @@ def test_json_roundtrip_and_identity():
     gf = field_new(16)
     doc = gf.to_json()
     assert set(doc) == {"p", "k", "modulus"}
-    back = GF.from_json(json.loads(json.dumps(doc)))
+    back = GF.from_parts(**json.loads(json.dumps(doc)))
     assert back == gf
     assert back.mul(5, 7) == gf.mul(5, 7)
+
+
+# SHA-256 of the "\n"-joined "q [c_0, ..., c_k]" lines of the modulus of every
+# extension field (k >= 2) with q <= 2^16, ascending by q
+_MODULI_DIGEST = "31e550027a00600f66bd89e424b0bbc8af2c2ae32c13797668c4460cad81a332"
+
+
+def test_extension_moduli_are_pinned():
+    rows = []
+    for q in prime_powers_upto(1 << 16):
+        p, k = prime_power(q)
+        if k > 1:
+            rows.append(f"{q} {list(smallest_irreducible(p, k))}")
+    assert len(rows) == 93
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == _MODULI_DIGEST
+
+
+def _mobius(n: int) -> int:
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("p,top", [(2, 8), (3, 5), (5, 3), (7, 2)])
+def test_irreducible_counts_match_gauss(p, top):
+    # Gauss: (1/k) * sum over d | k of mu(d) * p^(k/d) monic irreducibles of degree k
+    for k in range(1, top + 1):
+        want = sum(_mobius(d) * p ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+        got = sum(_is_irreducible([*c, 1], p) for c in itertools.product(range(p), repeat=k))
+        assert got == want, (p, k)
 
 
 def test_from_parts_rejects_reducible_modulus():

@@ -639,6 +639,54 @@ def test_growth_hypothesis_exact():
     assert not growth_hypothesis_holds(2, 2, 2)  # sqrt5-1 = 1.236 < 2
 
 
+# Reference in Z[phi]: phi^d = a + b*phi, and the sign of a + b*phi read off
+# the sign of b and the norm a^2 + ab - b^2 (phi is the root > 1 of x^2 - x - 1)
+
+
+def _phi_pow(d):
+    a, b = 1, 0
+    for _ in range(d):
+        a, b = b, a + b  # (a + b*phi)*phi = b + (a+b)*phi
+    return a, b
+
+
+def _golden_positive(a, b):
+    norm = a * a + a * b - b * b
+    if b > 0:
+        return a >= 0 or norm < 0  # -a/b < phi
+    if b < 0:
+        return a > 0 and norm > 0  # a/|b| > phi
+    return a > 0
+
+
+def test_weighted_density_matches_the_golden_ratio_reference():
+    # thresholds from 0 up and on both sides of eps*phi^d, where the answer flips
+    seen = set()
+    for eps in range(40):
+        for d in range(20):
+            a, b = _phi_pow(d)
+            flip = int(eps * (a + b * (1 + 5 ** 0.5) / 2))
+            for threshold in {*range(0, 60, 3), *range(flip - 3, flip + 4)}:
+                want = _golden_positive(eps * a - threshold, eps * b)
+                assert weighted_density_exceeds(eps, d, threshold) == want, (eps, d, threshold)
+                seen.add(want)
+    assert seen == {True, False}
+
+
+def test_growth_hypothesis_matches_the_golden_ratio_reference():
+    # sqrt5 - 1 = 2/phi, so the test is 2^(r-1) >= ell^(t-1) * phi^(r-1)
+    seen = set()
+    for r in range(1, 41):
+        a, b = _phi_pow(r - 1)
+        for ell in range(2, 13):
+            for t in range(1, 11):
+                power = ell ** (t - 1)
+                want = not _golden_positive(power * a - (1 << (r - 1)), power * b)
+                assert growth_hypothesis_holds(r, ell, t) == want, (r, ell, t)
+                seen.add(want)
+    assert seen == {True, False}
+
+
 def test_weighted_density_refuses_a_negative_power():
     # 3*phi^-2 = 1.15 < 2, but a negative power read as phi^0 would answer True
     with pytest.raises(ValueError, match="phi exponent"):

@@ -103,6 +103,10 @@ def test_schema_rejection_reasons():
     assert _reason({**lin, "surprise": 1}) == "unknown-field"
     assert _reason({**lin, "field": {"p": 6, "k": 1, "modulus": [0, 1]}}) == "not-prime-power"
     assert _reason({**lin, "field": {"p": 2, "k": 2, "modulus": [0, 0, 1]}}) == "bad-value"
+    # field values are JSON integers as written, and a field has only its three keys
+    assert _reason({**lin, "field": {"p": "2", "k": 1, "modulus": [0, 1]}}) == "bad-value"
+    assert _reason({**lin, "field": {"p": 2.9, "k": True, "modulus": ["0", "1"]}}) == "bad-value"
+    assert _reason({**lin, "field": {"p": 2, "k": 1, "modulus": [0, 1], "q": 2}}) == "unknown-field"
     assert _reason({**lin, "columns": [[2]]}) == "bad-value"  # entry outside GF(2)
     assert _reason({**lin, "columns": [[1], [1, 0]]}) == "bad-value"  # ragged
     assert _reason({**lin, "columns": [[True]]}) == "bad-value"

@@ -1,9 +1,15 @@
+import json
 import threading
 import weakref
 
 import pytest
 
+from mforge import matroid, minors, representability
+from mforge.cli import main
 from mforge.corpus import CorpusCaps, corpus_generate, descriptor
+from mforge.errors import LemmaViolationError
+from mforge.gf import GF
+from mforge.matroid import Matroid
 from mforge.suites import SUITES, run_suite
 
 
@@ -174,3 +180,66 @@ def test_lemma6_witnesses_are_pinned(monkeypatch):
     monkeypatch.setattr(minors, "unavoidable_minor_of_extension", recorded)
     assert run_suite("lemma6").passed and len(rows) == 54
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == _LEMMA6_WITNESS_DIGEST
+
+
+# -- negative controls: each suite, fed one wrong answer, reports a failure
+
+def _raise_violation(m, q, e):
+    raise LemmaViolationError("planted violation")
+
+
+def _no_base(spec):
+    return representability.BaseReport(base=None, certified=False, blocking={}, gaps=())
+
+
+_NOT_A_CIRCUIT = (Matroid, "is_circuit", lambda orig: lambda self, x: False,
+                  "pair union 0,1 is not a circuit")
+_NO_WITNESS_CHECKS_OUT = (representability, "witness_is_valid", lambda orig: lambda w: False,
+                          "search returned an invalid witness")
+
+# suite -> (owner, name, original -> wrong replacement, start of a failing case's detail)
+_NEGATIVE_CONTROLS = {
+    "field-axioms": (GF, "inv", lambda orig: lambda self, a: 1,
+                     "multiplicative inverse broken at"),
+    "rank-axioms": (matroid, "rank_axioms_hold", lambda orig: lambda m: "planted", "planted"),
+    "kung": (minors, "longest_line_minor", lambda orig: lambda m: 2,
+             "longest line minor 2, want"),
+    "lemma4": (minors, "longline_step", lambda orig: _raise_violation, "violation at element"),
+    "lemma5": (minors, "weighted_density_exceeds", lambda orig: lambda eps, d, t: False,
+               "raised LemmaViolationError: both sides of cocircuit split fail"),
+    "lemma6": (minors, "minor_is_valid", lambda orig: lambda ext, target, wit: False,
+               "returned witness does not check out"),
+    "spike-oracle": _NO_WITNESS_CHECKS_OUT,
+    "swirl-oracle": _NO_WITNESS_CHECKS_OUT,
+    "rep-cross": (representability, "spike_rep_predicate",
+                  lambda orig: lambda k, q: not orig(k, q), "brute force found"),
+    "growth-witness": (matroid, "pg_size", lambda orig: lambda q, r: orig(q, r) + 1,
+                       "7 points, want 8"),
+    "spike-structure": _NOT_A_CIRCUIT,
+    "swirl-structure": _NOT_A_CIRCUIT,
+    "eventual-base": (representability, "eventual_base", lambda orig: _no_base,
+                      "got base=None"),
+}
+
+
+def _plant(monkeypatch, suite: str) -> str:
+    owner, name, wrong, detail = _NEGATIVE_CONTROLS[suite]
+    monkeypatch.setattr(owner, name, wrong(getattr(owner, name)))
+    return detail
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_suite_fails_on_a_wrong_answer(suite, monkeypatch):
+    detail = _plant(monkeypatch, suite)
+    rep = run_suite(suite)
+    assert rep.passed is False
+    failed = [c["detail"] for c in rep.cases if not c["pass"]]
+    assert any(d.startswith(detail) for d in failed), failed[:3]
+
+
+def test_verify_exits_one_on_a_failing_suite(monkeypatch, capsys):
+    _plant(monkeypatch, "kung")
+    assert main(["verify", "kung"]) == 1
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert summary["suite"] == "kung" and summary["pass"] is False
+    assert summary["failures"] > 0
