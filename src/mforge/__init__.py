@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _SUBMODULE = {
     name: module
     for module, names in {
-        "gf": ("GF", "field_new", "is_prime", "prime_power", "prime_powers_upto"),
+        "gf": ("GF", "is_prime", "prime_power", "prime_powers_upto"),
         "matroid": ("Matroid", "LinearMatroid", "BasesMatroid", "bits", "mask_of",
                     "ksubset_masks", "direct_sum", "materialize_bases", "rank_axioms_hold"),
         "constructions": ("NamedMatroid", "pg", "ag", "uniform", "theta_graph", "free_spike",

@@ -69,7 +69,9 @@ def _check_params(kind: str, params: dict) -> None:
 def _parse_caps(text: str | None) -> dict:
     if not text:
         return {}
-    fields = {"max_ground", "max_rank"}
+    from .records import CorpusCaps
+
+    fields = CorpusCaps.__slots__
     out = {}
     for tok in text.split(","):
         key, _, val = tok.partition("=")
@@ -229,7 +231,7 @@ def _cmd_verify(args) -> int:
         "seed": report.seed,
         "jobs": args.jobs,
         "elapsed_ms": report.elapsed_ms,
-        "prng": report.meta["prng"],
+        "prng": "mt19937",
     }
     lines.append(json.dumps(summary, sort_keys=True))
     _write("\n".join(lines) + "\n", args.out)

@@ -19,6 +19,7 @@ from itertools import product
 from .errors import SizeCapError
 from .gf import GF
 from .matroid import (
+    GROUND_CAP,
     BasesMatroid,
     LinearMatroid,
     Matroid,
@@ -30,15 +31,14 @@ from .matroid import (
     mask_of,
     pg_size,
 )
-from .records import FrozenRecord
+from .records import Record
 
-POINT_CAP = 4096
 # A rank query descends one parallel connection per link, about two stack
 # frames each; chains of 495 links overflow Python's default recursion limit.
 CHAIN_CAP = 300
 
 
-class NamedMatroid(FrozenRecord):
+class NamedMatroid(Record):
     """A matroid with its display name and a meta dict of labels (a fresh {}
     by default)."""
 
@@ -71,8 +71,8 @@ def pg(n: int, q: int) -> NamedMatroid:
     if n < 1:
         raise ValueError("rank must be at least 1")
     gf = GF(q)
-    if n > POINT_CAP or pg_size(q, n) > POINT_CAP:  # n first: q^n stays small
-        raise SizeCapError(f"PG({n - 1},{q}) points exceed cap {POINT_CAP}")
+    if n > GROUND_CAP or pg_size(q, n) > GROUND_CAP:  # n first: q^n stays small
+        raise SizeCapError(f"PG({n - 1},{q}) points exceed cap {GROUND_CAP}")
     m = LinearMatroid(gf, projective_points(q, n))
     return NamedMatroid(m, name=f"PG({n - 1},{q})")
 
@@ -82,8 +82,8 @@ def ag(n: int, q: int) -> NamedMatroid:
     if n < 1:
         raise ValueError("rank must be at least 1")
     gf = GF(q)
-    if n > POINT_CAP or q ** (n - 1) > POINT_CAP:  # n first: q^(n-1) stays small
-        raise SizeCapError(f"AG({n - 1},{q}) points exceed cap {POINT_CAP}")
+    if n > GROUND_CAP or q ** (n - 1) > GROUND_CAP:  # n first: q^(n-1) stays small
+        raise SizeCapError(f"AG({n - 1},{q}) points exceed cap {GROUND_CAP}")
     cols = [(1,) + tail for tail in product(range(q), repeat=n - 1)]
     m = LinearMatroid(gf, cols)
     return NamedMatroid(m, name=f"AG({n - 1},{q})")
@@ -156,7 +156,7 @@ def two_sum_chain(k: int) -> NamedMatroid:
     for i in range(1, k):
         cur = ParallelConnectionView(cur, uniform(2, 4).matroid, p1=3 * i, p2=0)
     internal = mask_of(3 * j for j in range(1, k))
-    m = cur.delete(internal) if internal else cur
+    m = cur.delete(internal)
     pairs = [(2 * i - 1, 2 * i) for i in range(1, k + 1)]
     return NamedMatroid(
         m, name=f"TwoSumChain({k})", meta={"x1": 0, "xk": 2 * k + 1, "pairs": pairs}

@@ -284,9 +284,3 @@ class GF:
 
     def __repr__(self):
         return f"GF({self.q})"
-
-
-def field_new(q: int) -> GF:
-    """Construct GF(q), raising NotPrimePowerError for invalid orders and
-    SizeCapError for orders above the cap."""
-    return GF(q)

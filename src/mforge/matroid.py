@@ -1072,6 +1072,17 @@ def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
     return DirectSumView(m1, m2)
 
 
+def rank_mismatch(a: Matroid, b: Matroid, masks=None, mapping=None) -> int | None:
+    """The first mask X in masks (every subset of a's ground, ascending, by
+    default) with r_a(X) != r_b(f(X)), f mapping each element e to
+    mapping[e] (the identity by default); None when the two agree on all."""
+    for x in range(1 << a.n) if masks is None else masks:
+        y = x if mapping is None else mask_of(mapping[e] for e in bits(x))
+        if a.rank(x) != b.rank(y):
+            return x
+    return None
+
+
 def rank_axioms_hold(m: Matroid) -> str | None:
     """Local rank-axiom check over all subsets; None if clean.
 

@@ -38,8 +38,8 @@ from .errors import (
     RepresentableInputError,
     SizeCapError,
 )
-from .matroid import Matroid, bits, ksubset_masks, mask_of, pg_size
-from .records import FrozenRecord, Record
+from .matroid import Matroid, bits, ksubset_masks, mask_of, pg_size, rank_mismatch
+from .records import Record
 
 ISO_CAP = 20
 MINOR_CAP = 24
@@ -48,13 +48,13 @@ MINOR_CAP = 24
 # -- certificates ----------------------------------------------------------------
 
 
-class IsoCertificate(FrozenRecord):
+class IsoCertificate(Record):
     """Element bijection: mapping[e] is the image of e."""
 
     __slots__ = ("mapping",)
 
 
-class MinorWitness(FrozenRecord):
+class MinorWitness(Record):
     """M / contract \\ delete is isomorphic to the target via iso.
 
     contract is independent in M; iso maps the relabeled minor ground
@@ -68,7 +68,9 @@ class DenseRestrictionReport(Record):
     """Outcome of the cocircuit-splitting descent.
 
     trace holds (cocircuit-mask-in-parent-ids, kept-side) pairs; restriction
-    is the final kept subset of the parent ground.  hypothesis_holds records
+    is the final kept subset of the parent ground, final that restriction,
+    and final_rank and final_dense its rank and q-density.  Like every
+    record it is built once, when the descent ends.  hypothesis_holds records
     whether the rank-vs-line-length growth condition was satisfied on entry;
     the rank and density guarantees on the result are only promised under
     that hypothesis, so callers get the measured values either way.
@@ -76,8 +78,6 @@ class DenseRestrictionReport(Record):
 
     __slots__ = ("restriction", "trace", "final", "final_rank", "final_dense",
                  "hypothesis_holds")
-    _defaults = {"trace": list, "final": None, "final_rank": 0, "final_dense": False,
-                 "hypothesis_holds": False}
 
 
 def iso_is_valid(m: Matroid, n: Matroid, mapping) -> bool:
@@ -92,13 +92,7 @@ def iso_is_valid(m: Matroid, n: Matroid, mapping) -> bool:
     r = m.full_rank
     if n.full_rank != r:
         return False
-    for x in ksubset_masks(m.n, r):
-        y = 0
-        for e in bits(x):
-            y |= 1 << mapping[e]
-        if m.rank(x) != n.rank(y):
-            return False
-    return True
+    return rank_mismatch(m, n, ksubset_masks(m.n, r), mapping) is None
 
 
 def minor_is_valid(m: Matroid, n: Matroid, wit: MinorWitness) -> bool:
@@ -226,6 +220,10 @@ def has_minor(m: Matroid, n: Matroid) -> MinorWitness | None:
     target is refused at once when M has no k-point-line minor: every rank-2
     minor is M/C\\D with cl(C) a coline, so longest_line_minor is exact.  That
     shortcut only prunes negatives; positives come from the canonical search.
+    A candidate K stays a mask until it passes three necessary tests read
+    off M/C: its loops, the points of M/C it meets and its rank must number
+    N's; a C with eps(M/C) < eps(N) is skipped whole, since no restriction
+    of M/C has more points.
     Above MINOR_CAP a U(2,k) target is answered by _line_minor_witness alone,
     which returns None exactly when longest_line_minor(M) < k.
     """
@@ -248,13 +246,16 @@ def has_minor(m: Matroid, n: Matroid) -> MinorWitness | None:
         if m.rank(cmask) != csize:
             continue
         mc = m.contract(cmask)
+        loops, classes = mc.loops(), mc.point_classes()
+        if len(classes) < n_eps:
+            continue
         for keep in ksubset_masks(mc.n, n.n):
-            cand = mc.restrict(keep)
-            if cand.full_rank != n.full_rank:
+            # the loops, points and rank of M/C|K, read off M/C before K is built
+            if ((keep & loops).bit_count() != n_loops
+                    or sum(1 for cls in classes if cls & keep) != n_eps
+                    or mc.rank(keep) != n.full_rank):
                 continue
-            if cand.loops().bit_count() != n_loops or cand.epsilon() != n_eps:
-                continue
-            cert = are_isomorphic(cand, n, _n_memo=n_memo)
+            cert = are_isomorphic(mc.restrict(keep), n, _n_memo=n_memo)
             if cert is not None:
                 # contract(0) is m: no lift_mask, or a MinorView's into its own parent
                 kept_m = keep if mc is m else mc.lift_mask(keep)
@@ -324,7 +325,7 @@ def longest_line_minor(m: Matroid) -> int:
 # -- density dichotomy ------------------------------------------------------------------
 
 
-class LonglineStep(FrozenRecord):
+class LonglineStep(Record):
     """Outcome of the one-element density dichotomy.
 
     kind is "dense-contraction" (M/e stays q-dense) or "line-restriction"
@@ -428,11 +429,9 @@ def dense_restriction(m: Matroid, q: int, t: int) -> DenseRestrictionReport:
     r = m.full_rank
     threshold = pg_size(q, r)
     ell = max(longest_line_minor(m) - 1, 2)
-    report = DenseRestrictionReport(
-        restriction=(1 << m.n) - 1,
-        hypothesis_holds=growth_hypothesis_holds(r, ell, t),
-    )
-    cur_mask = report.restriction
+    hypothesis_holds = growth_hypothesis_holds(r, ell, t)
+    trace = []
+    cur_mask = (1 << m.n) - 1
     while True:
         cur = m.restrict(cur_mask)
         # restrict(full) is m: no lift_mask, or a MinorView's into its own parent
@@ -459,18 +458,16 @@ def dense_restriction(m: Matroid, q: int, t: int) -> DenseRestrictionReport:
                 f"both sides of cocircuit split fail the weighted density bound "
                 f"(eps {eps_co}/{eps_hyp}, ranks {r_co}/{r_hyp}, threshold {threshold})"
             )
-        report.trace.append((lift(split), kept))
+        trace.append((lift(split), kept))
         cur_mask = lift(keep_local)
     final = m.restrict(cur_mask)
-    report.restriction = cur_mask
-    report.final = final
-    report.final_rank = final.full_rank
-    report.final_dense = final.is_q_dense(q)
-    if report.hypothesis_holds and not (report.final_dense and report.final_rank >= t):
+    final_dense = final.is_q_dense(q)
+    if hypothesis_holds and not (final_dense and final.full_rank >= t):
         raise LemmaViolationError(
             "descent finished below the guaranteed density or rank floor"
         )
-    return report
+    return DenseRestrictionReport(cur_mask, trace, final, final.full_rank, final_dense,
+                                  hypothesis_holds)
 
 
 # -- unavoidable minors of geometry extensions ----------------------------------------------

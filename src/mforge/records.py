@@ -4,9 +4,9 @@ A record subclass names its fields, in order, in __slots__ and the defaults
 of its trailing fields in _defaults; a default that is a type (list, dict,
 frozenset) is called once per instance, so no mutable default is shared.
 Records compare field by field with records of their own class and print
-as Name(field=value, ...).  A Record is mutable and unhashable; a
-FrozenRecord refuses assignment after construction and hashes by its
-field values.
+as Name(field=value, ...).  Every record refuses assignment after
+construction and hashes by its field values, so a record with a list or
+dict field is unhashable.
 
 This module imports nothing, so every command can build caps and reports
 without loading the modules that compute them.
@@ -55,10 +55,6 @@ class Record:
     def __reduce__(self):
         return type(self), self._values()
 
-
-class FrozenRecord(Record):
-    __slots__ = ()
-
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -69,7 +65,7 @@ class FrozenRecord(Record):
         return hash(self._values())
 
 
-class CorpusCaps(FrozenRecord):
+class CorpusCaps(Record):
     """Size caps on the generated corpus: members above either are left out."""
 
     __slots__ = ("max_ground", "max_rank")

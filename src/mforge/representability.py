@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .errors import SizeCapError
 from .gf import GF, is_prime, prime_power, prime_powers_upto, prime_sieve
-from .records import FrozenRecord, Record
+from .records import Record
 
 WITNESS_Q_CAP = 13
 WITNESS_K_CAP = 10
@@ -31,7 +31,7 @@ WITNESS_K_CAP = 10
 # -- group-condition witnesses ----------------------------------------------------
 
 
-class SpikeWitness(FrozenRecord):
+class SpikeWitness(Record):
     """Group elements certifying representability of a rank-k spike or swirl.
 
     alphas has k-1 entries; no sub-multiset aggregate (sum for the additive
@@ -166,8 +166,9 @@ def _group_rep(k: int, order: int, prime) -> bool:
 # -- tiny linear-representability oracle -----------------------------------------------
 
 
-def brute_force_linear_rep(m: Matroid, q: int) -> LinearMatroid | None:
-    """Search for a GF(q) representation by distinct projective points.
+def brute_force_linear_rep(m, q: int):
+    """Search a Matroid for a GF(q) representation by distinct projective
+    points: a LinearMatroid, or None when there is none.
 
     GL(r, q) carries any ordered basis onto the unit vectors, so some
     representation, if any exists, puts the greedy basis b_0 < ... < b_(r-1)
@@ -182,7 +183,7 @@ def brute_force_linear_rep(m: Matroid, q: int) -> LinearMatroid | None:
     rank 3, 8 elements, q <= 7.
     """
     from .constructions import pg
-    from .matroid import LinearMatroid, bits  # only this oracle needs matroid.py
+    from .matroid import LinearMatroid, bits, rank_mismatch  # only this oracle needs matroid.py
 
     r = m.full_rank
     if r > 3 or m.n > 8 or q > 7:
@@ -215,16 +216,13 @@ def brute_force_linear_rep(m: Matroid, q: int) -> LinearMatroid | None:
         return None
     rep = LinearMatroid(geometry.field, [geometry.columns[on[1 << e].bit_length() - 1]
                                          for e in range(m.n)])
-    for mask in range(1 << m.n):
-        if rep.rank(mask) != m.rank(mask):
-            return None
-    return rep
+    return rep if rank_mismatch(rep, m) is None else None
 
 
 # -- class membership and eventual bases -------------------------------------------------
 
 
-class ClassSpec(FrozenRecord):
+class ClassSpec(Record):
     """Excluded-minor description: no (ell+2)-point line, no rank-k spikes or
     swirls for the listed ranks."""
 

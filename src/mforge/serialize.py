@@ -22,7 +22,7 @@ import json
 from .errors import NotPrimePowerError, SchemaError, SizeCapError
 from .gf import GF
 from .matroid import (BASES_VERIFY_CAP, BasesMatroid, LinearMatroid, Matroid, bits, check_ground,
-                      materialize_bases)
+                      materialize_bases, rank_mismatch)
 
 _LINEAR_KEYS = {"kind", "field", "columns"}
 _FIELD_KEYS = {"p", "k", "modulus"}
@@ -192,4 +192,4 @@ def io_roundtrip(m: Matroid) -> bool:
     else:
         rng = random.Random(0)
         masks = [rng.randrange(1 << m.n) for _ in range(4096)] + [0, full]
-    return all(m.rank(x) == back.rank(x) for x in masks)
+    return rank_mismatch(m, back, masks) is None

@@ -32,10 +32,9 @@ from .records import CorpusCaps, Record
 
 class SuiteReport(Record):
     """One suite run: suite, seed, passed, cases (one dict per case, sorted by
-    id), elapsed_ms and meta (a fresh {} by default)."""
+    id) and elapsed_ms."""
 
-    __slots__ = ("suite", "seed", "passed", "cases", "elapsed_ms", "meta")
-    _defaults = {"meta": dict}
+    __slots__ = ("suite", "seed", "passed", "cases", "elapsed_ms")
 
 
 def _fail(detail: str, **extra) -> dict:
@@ -53,9 +52,9 @@ def _ok(**extra) -> dict:
 # ---------------------------------------------------------------- fields
 
 def _check_field(q: int, seed: int) -> dict:
-    from .gf import field_new
+    from .gf import GF
 
-    gf = field_new(q)
+    gf = GF(q)
     els = list(gf.elements())
     for a in els:
         if gf.add(a, gf.neg(a)) != 0:
@@ -108,14 +107,6 @@ def _suite_field_axioms(seed: int, caps: CorpusCaps) -> list:
 
 # ------------------------------------------------------------ rank axioms
 
-def _ranks_agree_everywhere(a, b) -> int | None:
-    """First subset mask where the two rank functions disagree, else None."""
-    for x in range(1 << a.n):
-        if a.rank(x) != b.rank(x):
-            return x
-    return None
-
-
 def _check_axioms(m) -> dict:
     from .matroid import rank_axioms_hold
 
@@ -124,18 +115,19 @@ def _check_axioms(m) -> dict:
 
 
 def _check_materialize(m) -> dict:
-    from .matroid import materialize_bases
+    from .matroid import materialize_bases, rank_mismatch
 
     bm = materialize_bases(m)
-    bad = _ranks_agree_everywhere(m, bm)
+    bad = rank_mismatch(m, bm)
     if bad is None:
         return _ok(bases=len(bm.bases))
     return _fail(f"view and bases backend disagree on mask {bad}")
 
 
 def _check_dual_dual(m) -> dict:
-    dd = m.dual().dual()
-    bad = _ranks_agree_everywhere(m, dd)
+    from .matroid import rank_mismatch
+
+    bad = rank_mismatch(m, m.dual().dual())
     return _ok() if bad is None else _fail(f"double dual differs at mask {bad}")
 
 
@@ -380,6 +372,7 @@ def _suite_oracle(kind: str):
 
 def _check_rep_cross(q: int) -> dict:
     from .constructions import free_spike
+    from .matroid import rank_mismatch
     from .representability import brute_force_linear_rep, spike_rep_predicate
 
     m = free_spike(3).matroid
@@ -388,7 +381,7 @@ def _check_rep_cross(q: int) -> dict:
     if (rep is not None) != pred:
         return _fail(f"brute force {'found' if rep else 'found no'} representation, predicate says {pred}")
     if rep is not None:
-        bad = _ranks_agree_everywhere(m, rep)
+        bad = rank_mismatch(m, rep)
         if bad is not None:
             return _fail(f"claimed representation disagrees at mask {bad}")
     return _ok(representable=pred)
@@ -560,5 +553,4 @@ def run_suite(suite: str, seed: int = 0, caps: CorpusCaps | None = None) -> Suit
         passed=all(c["pass"] for c in results),
         cases=results,
         elapsed_ms=elapsed,
-        meta={"prng": "mt19937"},
     )

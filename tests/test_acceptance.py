@@ -15,7 +15,8 @@ import sys
 import time
 from pathlib import Path
 
-from mforge.constructions import POINT_CAP, ag, pg
+from mforge.constructions import ag, pg
+from mforge.matroid import GROUND_CAP
 from mforge.suites import run_suite
 
 
@@ -57,14 +58,14 @@ def test_criterion_01_geometry_counts(capsys):
     ok, checked = True, 0
     for q in (2, 3, 4, 5, 7, 8, 9):
         n = 2
-        while (q**n - 1) // (q - 1) <= POINT_CAP:
+        while (q**n - 1) // (q - 1) <= GROUND_CAP:
             m = pg(n, q).matroid
             want = (q**n - 1) // (q - 1)
             ok = ok and m.n == want and m.epsilon() == want and m.full_rank == n
             checked += 1
             n += 1
         n = 2
-        while q ** (n - 1) <= POINT_CAP:
+        while q ** (n - 1) <= GROUND_CAP:
             m = ag(n, q).matroid
             ok = ok and m.epsilon() == q ** (n - 1) and m.full_rank == n
             checked += 1

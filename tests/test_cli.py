@@ -97,7 +97,7 @@ def _forged_minor_witnesses():
     witness has_minor finds, and one forgery of each kind."""
     from mforge.minors import IsoCertificate, MinorWitness
 
-    gf3 = mforge.field_new(3)
+    gf3 = mforge.GF(3)
     host = mforge.LinearMatroid(gf3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
                                       (1, 1, 0), (2, 2, 0), (1, 2, 0), (1, 0, 1)])
     target = mforge.LinearMatroid(gf3, [(1, 0), (0, 1), (1, 1), (2, 2)])

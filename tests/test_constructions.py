@@ -3,12 +3,12 @@ import itertools
 import pytest
 
 from mforge import (
+    GF,
     LinearMatroid,
     SizeCapError,
     ag,
     are_isomorphic,
     density_witness,
-    field_new,
     free_spike,
     free_swirl,
     mask_of,
@@ -112,7 +112,7 @@ def test_swirl_circuit_pattern():
 def _chain_linear(k: int) -> LinearMatroid:
     # independent model: each glued four-point line spans consecutive
     # coordinate axes; shared basepoints are the axis vectors, removed
-    gf = field_new(3)
+    gf = GF(3)
     dim = k + 1
 
     def axis(i):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from mforge import GF, NotPrimePowerError, SizeCapError, field_new, is_prime, prime_power
+from mforge import GF, NotPrimePowerError, SizeCapError, is_prime, prime_power
 from mforge.gf import _is_irreducible, prime_powers_upto, smallest_irreducible
 
 
@@ -28,16 +28,16 @@ def test_is_prime_small():
 
 def test_non_prime_power_rejected():
     with pytest.raises(NotPrimePowerError):
-        field_new(6)
+        GF(6)
     with pytest.raises(NotPrimePowerError):
-        field_new(1)
+        GF(1)
     # 2^17 is a prime power: past the order cap it is refused as a size
     with pytest.raises(SizeCapError, match="exceeds cap"):
-        field_new(1 << 17)
+        GF(1 << 17)
 
 
 def test_gf4_table_values():
-    gf = field_new(4)
+    gf = GF(4)
     assert gf.modulus == (1, 1, 1)  # x^2 + x + 1, constant term first
     assert gf.mul(2, 2) == 3
     assert gf.mul(2, 3) == 1
@@ -48,7 +48,7 @@ def test_gf4_table_values():
 
 
 def test_gf9_table_values():
-    gf = field_new(9)
+    gf = GF(9)
     assert gf.modulus == (1, 0, 1)  # x^2 + 1 is irreducible mod 3
     # element 3 encodes x; x*x = -1 = 2
     assert gf.mul(3, 3) == 2
@@ -57,7 +57,7 @@ def test_gf9_table_values():
 
 
 def test_prime_field_is_mod_arithmetic():
-    gf = field_new(7)
+    gf = GF(7)
     for a in gf.elements():
         for b in gf.elements():
             assert gf.add(a, b) == (a + b) % 7
@@ -65,19 +65,19 @@ def test_prime_field_is_mod_arithmetic():
 
 
 def test_coeff_encoding_roundtrip():
-    gf = field_new(8)
+    gf = GF(8)
     for a in gf.elements():
         assert gf.from_coeffs(gf.coeffs(a)) == a
 
 
 def test_inverse_of_zero():
-    gf = field_new(5)
+    gf = GF(5)
     with pytest.raises(ZeroDivisionError):
         gf.inv(0)
 
 
 def test_pow_matches_repeated_mul():
-    gf = field_new(9)
+    gf = GF(9)
     for a in list(gf.nonzero())[:4]:
         acc = 1
         for e in range(1, 6):
@@ -87,7 +87,7 @@ def test_pow_matches_repeated_mul():
 
 
 def test_json_roundtrip_and_identity():
-    gf = field_new(16)
+    gf = GF(16)
     doc = gf.to_json()
     assert set(doc) == {"p", "k", "modulus"}
     back = GF.from_parts(**json.loads(json.dumps(doc)))
@@ -140,14 +140,14 @@ def test_from_parts_rejects_reducible_modulus():
 
 def test_element_counts():
     for q in (2, 3, 4, 5, 8, 27):
-        gf = field_new(q)
+        gf = GF(q)
         assert len(list(gf.elements())) == q
         assert len(list(gf.nonzero())) == q - 1
 
 
 @pytest.mark.parametrize("q", [512, 729])
 def test_untabled_fields_satisfy_sampled_axioms(q):
-    gf = field_new(q)
+    gf = GF(q)
     assert gf._add is None  # above the table limit every operation computes
     rng = random.Random(q)
     for _ in range(300):

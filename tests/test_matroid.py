@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mforge import (
     BasesMatroid,
+    GF,
     LinearMatroid,
     Matroid,
     SizeCapError,
@@ -17,7 +18,6 @@ from mforge import (
     corpus_generate,
     density_witness,
     direct_sum,
-    field_new,
     free_spike,
     free_swirl,
     ksubset_masks,
@@ -44,6 +44,7 @@ from mforge.matroid import (
     _point,
     pg_size,
     push_pivot,
+    rank_mismatch,
     span_rank,
 )
 
@@ -149,7 +150,7 @@ def test_generic_vs_echelon_flat_enumeration():
 
 def _random_linear(rng, q, dim, n):
     """Columns with many zero entries, so loops and parallel pairs turn up."""
-    gf = field_new(q)
+    gf = GF(q)
     cols = [
         tuple(rng.randrange(1, q) if rng.random() < 0.6 else 0 for _ in range(dim))
         for _ in range(n)
@@ -168,7 +169,7 @@ def _random_sparse(rng, q, dim, n):
     ]
     cols += [(0,) * dim, tuple((q - x) % q for x in max(cols))]  # max(cols) is nonzero
     rng.shuffle(cols)
-    return LinearMatroid(field_new(q), cols)
+    return LinearMatroid(GF(q), cols)
 
 
 def _reference_rank(m, x):
@@ -281,7 +282,7 @@ def test_ternary_kernel_differential(dim):
 def test_ternary_span_rank_differential():
     # span_rank on raw _point keys of dense random vectors, every limit,
     # against push_pivot on the field-index lists
-    gf = field_new(3)
+    gf = GF(3)
     rng = random.Random(3)
     for _ in range(400):
         dim = rng.randint(1, 8)
@@ -302,7 +303,7 @@ def _linear_matroids(draw, fields=(2, 3, 4, 5, 7, 8, 9), min_n=0, max_n=8):
     columns independent by construction (1 at a drawn pivot row, 0 at the
     pivot rows after it), then combinations of them, loops and parallel
     copies, in a drawn order."""
-    gf = field_new(draw(st.sampled_from(fields)))
+    gf = GF(draw(st.sampled_from(fields)))
     r = draw(st.sampled_from([r for r in (2, 3, 1, 4) if r <= max_n]))
     dim = draw(st.integers(r, 4))
     n = max_n - draw(st.integers(0, max_n - max(r, min_n)))
@@ -344,11 +345,11 @@ _RANK_4_GF7 = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 2, 3, 4), (0, 0, 1, 0), (0, 0, 0,
 @seed(0)
 @settings(max_examples=150)
 @given(m=_linear_matroids())
-@example(m=LinearMatroid(field_new(3), [(1, 2, 0), (0, 0, 0), (2, 1, 0), (1, 1, 0), (0, 2, 0)]))
-@example(m=LinearMatroid(field_new(2), _DEGENERATE[0]))
-@example(m=LinearMatroid(field_new(3), _DEGENERATE[1]))
-@example(m=LinearMatroid(field_new(2), _DEGENERATE[2]))
-@example(m=LinearMatroid(field_new(7), _RANK_4_GF7))
+@example(m=LinearMatroid(GF(3), [(1, 2, 0), (0, 0, 0), (2, 1, 0), (1, 1, 0), (0, 2, 0)]))
+@example(m=LinearMatroid(GF(2), _DEGENERATE[0]))
+@example(m=LinearMatroid(GF(3), _DEGENERATE[1]))
+@example(m=LinearMatroid(GF(2), _DEGENERATE[2]))
+@example(m=LinearMatroid(GF(7), _RANK_4_GF7))
 def _point_table_property(shapes, m):
     # 5000 points keeps every walk of rank 4 over GF(5) and below; rank 4
     # over GF(7), GF(8) and GF(9) walks its points and its whole space, and
@@ -476,7 +477,7 @@ def _pair_scan_classes(m):
 
 
 def _twins(q, columns):
-    return LinearMatroid(field_new(q), columns), LinearMatroid(field_new(q), columns)
+    return LinearMatroid(GF(q), columns), LinearMatroid(GF(q), columns)
 
 
 @settings(max_examples=120)
@@ -579,7 +580,7 @@ def test_closure_by_elimination_over_every_field(q, monkeypatch):
         cases.append((m.columns, [Matroid._closure_mask(m, x) for x in range(1 << n)]))
     monkeypatch.setattr(Matroid, "_closure_mask", _refuse)
     for columns, want in cases:
-        m = LinearMatroid(field_new(q), columns)
+        m = LinearMatroid(GF(q), columns)
         assert m.loops() == want[0]
         assert [m.closure(x) for x in range(1 << m.n)] == want
         assert [m.is_flat(x) for x in range(1 << m.n)] == [c == x for x, c in enumerate(want)]
@@ -828,7 +829,7 @@ def test_linear_rooted_minor_skips_parent_flats_missing_the_contraction():
 
 
 def test_loops_and_simplify():
-    gf = field_new(2)
+    gf = GF(2)
     m = LinearMatroid(gf, [(1, 0), (1, 0), (0, 1), (0, 0)])
     assert m.loops() == 0b1000
     assert m.epsilon() == 2
@@ -840,7 +841,7 @@ def test_loops_and_simplify():
 
 
 def test_point_classes_partition_nonloops():
-    gf = field_new(3)
+    gf = GF(3)
     m = LinearMatroid(gf, [(1, 0), (2, 0), (0, 1), (1, 1), (0, 0)])
     classes = m.point_classes()
     assert sorted(classes) == sorted([0b00011, 0b00100, 0b01000])
@@ -992,7 +993,7 @@ def _exchange_families(rng):
         cols += [tuple(rng.randrange(q) for _ in range(k)) for _ in range(n - k)]
         rng.shuffle(cols)
         extra = [(0,) * (k + 1), (0,) * k + (1,)]
-        m = LinearMatroid(field_new(q), [c + (0,) for c in cols] + extra)
+        m = LinearMatroid(GF(q), [c + (0,) for c in cols] + extra)
         bases = materialize_bases(m).bases
         yield m.n, bases
         if len(bases) > 1:
@@ -1093,6 +1094,25 @@ def test_rank_axioms_hold_detects_bad_function():
             return max((b & mask).bit_count() for b in (0b0011, 0b1100))
 
     assert rank_axioms_hold(MaxMeet(4)) is not None
+
+
+def test_rank_mismatch_finds_the_first_disagreement():
+    u24, u34 = uniform(2, 4).matroid, uniform(3, 4).matroid
+    # every subset, ascending, by default: the first 3-set {0, 1, 2} = 7
+    assert rank_mismatch(u24, u24) is None
+    assert rank_mismatch(u24, u34) == 7
+    # explicit masks, in the order given
+    assert rank_mismatch(u24, u34, [1, 3, 15, 7]) == 15
+    assert rank_mismatch(u24, u34, iter([1, 3, 12])) is None
+    # a map compares r_a(X) with r_b of the image of X
+    loop_first = LinearMatroid(GF(3), [(0, 0), (1, 0), (0, 1), (1, 1)])
+    loop_last = LinearMatroid(GF(3), [(1, 0), (0, 1), (1, 1), (0, 0)])
+    assert rank_mismatch(loop_first, loop_last) == 1
+    assert rank_mismatch(loop_first, loop_last, mapping=(0, 1, 2, 3)) == 1
+    assert rank_mismatch(loop_first, loop_last, mapping=(3, 0, 1, 2)) is None
+    # swapping the loop 0 with 1 breaks {3} and {0}, but not {1, 2} or {1}
+    assert rank_mismatch(loop_first, loop_last, [6, 8, 1], mapping=(1, 0, 2, 3)) == 8
+    assert rank_mismatch(loop_first, loop_last, [6, 2], mapping=(1, 0, 2, 3)) is None
 
 
 def test_materialize_bases_roundtrip():
@@ -1267,7 +1287,7 @@ def test_basis_exchange_on_relabelled_lists(name):
     # basis, the order of X - B and the loops and coloops all vary
     rng = random.Random(name)
     if name == "gf3":  # a loop, a parallel pair and a coloop over GF(3)
-        m = LinearMatroid(field_new(3), [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0),
+        m = LinearMatroid(GF(3), [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0),
                                          (1, 1, 0), (1, 2, 0), (0, 0, 1)])
     else:
         m = {"spike4": free_spike(4), "swirl4": free_swirl(4), "U(3,7)": uniform(3, 7),
@@ -1449,7 +1469,7 @@ def test_minor_run_masks_match_the_bit_loop():
     rng = random.Random(19)
     widths = set()
     for n, contract, delete in _gone_masks(rng):
-        free = LinearMatroid(field_new(2), [tuple(int(i == j) for i in range(n)) for j in range(n)])
+        free = LinearMatroid(GF(2), [tuple(int(i == j) for i in range(n)) for j in range(n)])
         view = MinorView(free, contract, delete)
         kept = ((1 << n) - 1) ^ contract ^ delete
         assert view.n == kept.bit_count()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mforge import (
     BasesMatroid,
+    GF,
     LemmaViolationError,
     LinearMatroid,
     Matroid,
@@ -19,7 +20,6 @@ from mforge import (
     corpus_generate,
     dense_restriction,
     direct_sum,
-    field_new,
     free_spike,
     free_swirl,
     growth_hypothesis_holds,
@@ -36,7 +36,7 @@ from mforge import (
     weighted_density_exceeds,
 )
 from mforge import minors
-from mforge.matroid import bits, ksubset_masks
+from mforge.matroid import MinorView, bits, ksubset_masks
 from mforge.minors import _fingerprints
 from test_matroid import _view_stacks
 
@@ -197,14 +197,14 @@ def test_size_and_rank_negatives_come_before_the_caps():
 
 
 def _loop_and_parallel_host():
-    gf3 = field_new(3)
+    gf3 = GF(3)
     cols = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (2, 2, 0), (1, 2, 0), (1, 0, 1)]
     return LinearMatroid(gf3, cols)  # element 0 a loop, 4 and 5 parallel
 
 
 def _binary_11():
     cols = pg(4, 2).matroid.columns
-    return LinearMatroid(field_new(2), [c for i, c in enumerate(cols) if i not in (0, 5, 9, 14)])
+    return LinearMatroid(GF(2), [c for i, c in enumerate(cols) if i not in (0, 5, 9, 14)])
 
 
 @pytest.mark.parametrize(
@@ -229,6 +229,25 @@ def test_has_minor_line_precheck(host, longest, monkeypatch):
     assert has_minor(host, uniform(2, longest).matroid) == wit
 
 
+def test_minor_search_builds_views_only_for_passing_candidates(monkeypatch):
+    # M(K6) from its incidence columns e_i + e_j: contracting two edges
+    # leaves K4 with parallel edges, 6 points against F7's 7, so the search
+    # skips every contraction set and builds no restriction
+    k6 = LinearMatroid(GF(2), [tuple(int(v in edge) for v in range(6))
+                               for edge in itertools.combinations(range(6), 2)])
+    built, calls = [], []
+    init = MinorView.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(MinorView, "__init__", counting_init)
+    monkeypatch.setattr(minors, "are_isomorphic", lambda *args, **kw: calls.append(args))
+    assert has_minor(k6, FANO) is None
+    assert len(built) <= 105 and calls == []
+
+
 def test_are_isomorphic_negative_same_profile():
     # same size and rank, different structure
     assert are_isomorphic(FANO, uniform(3, 7).matroid) is None
@@ -239,7 +258,7 @@ def test_are_isomorphic_relabel():
     cols = [(1, 0), (0, 1), (1, 1), (1, 2)]
     import mforge
 
-    gf = mforge.field_new(3)
+    gf = mforge.GF(3)
     a = mforge.LinearMatroid(gf, cols)
     b = mforge.LinearMatroid(gf, cols[::-1])
     cert = are_isomorphic(a, b)
@@ -472,7 +491,7 @@ def test_traces_prune_by_counts():
 def _relabelled_pair(draw):
     """Two relabellings of one random GF(q) matroid of at most 9 elements,
     both as LinearMatroid or both as BasesMatroid."""
-    gf = field_new(draw(st.sampled_from((2, 3, 4, 5))))
+    gf = GF(draw(st.sampled_from((2, 3, 4, 5))))
     dim = draw(st.integers(1, 4))
     column = st.tuples(*[st.integers(0, gf.q - 1)] * dim)
     m = LinearMatroid(gf, draw(st.lists(column, max_size=9)))
@@ -754,7 +773,7 @@ def _seeded_host(rng, q):
     """A GF(q) matroid on 6 to 8 distinct nonzero columns of length 3 or 4."""
     dim = rng.randint(3, 4)
     codes = rng.sample(range(1, q**dim), min(rng.randint(6, 8), q**dim - 1))
-    return LinearMatroid(field_new(q), [tuple(x // q**i % q for i in range(dim))
+    return LinearMatroid(GF(q), [tuple(x // q**i % q for i in range(dim))
                                         for x in codes])
 
 

@@ -63,20 +63,25 @@ def test_result_records_behave_like_the_dataclasses_they_replace():
     with pytest.raises(TypeError):
         hash(a)  # meta is a dict
 
-    # mutable reports: assignable, unhashable, fresh list and dict defaults
-    rep = DenseRestrictionReport(7)
-    assert repr(rep) == ("DenseRestrictionReport(restriction=7, trace=[], final=None, "
-                         "final_rank=0, final_dense=False, hypothesis_holds=False)")
-    assert rep.trace is not DenseRestrictionReport(7).trace
-    rep.trace.append((1, "cocircuit"))
-    rep.final_rank = 2
-    assert rep != DenseRestrictionReport(7)
+    # reports refuse assignment like every record; a list or dict field
+    # keeps them unhashable
+    rep = DenseRestrictionReport(7, [(1, "cocircuit")], None, 2, False, True)
+    assert repr(rep) == ("DenseRestrictionReport(restriction=7, trace=[(1, 'cocircuit')], "
+                         "final=None, final_rank=2, final_dense=False, hypothesis_holds=True)")
+    assert rep == DenseRestrictionReport(7, [(1, "cocircuit")], None, 2, False, True)
+    assert rep != DenseRestrictionReport(7, [], None, 2, False, True)
     base = BaseReport(9, True, {}, [])
     assert repr(base) == "BaseReport(base=9, certified=True, blocking={}, gaps=[])"
     assert base == BaseReport(base=9, certified=True, blocking={}, gaps=[])
     suite = SuiteReport("kung", 0, True, [], 5)
-    assert suite.meta == {} and suite.meta is not SuiteReport("kung", 0, True, [], 5).meta
+    assert repr(suite) == "SuiteReport(suite='kung', seed=0, passed=True, cases=[], elapsed_ms=5)"
     for rec in (rep, base, suite):
+        assert pickle.loads(pickle.dumps(rec)) == rec
+        for name in rec.__slots__:
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(rec, name, None)
+            with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                delattr(rec, name)
         with pytest.raises(TypeError, match="unhashable"):
             hash(rec)
 

@@ -8,12 +8,12 @@ import pytest
 
 from mforge import (
     ClassSpec,
+    GF,
     LinearMatroid,
     SizeCapError,
     SpikeWitness,
     brute_force_linear_rep,
     eventual_base,
-    field_new,
     free_spike,
     membership_flags,
     pg,
@@ -123,7 +123,7 @@ def _exhaustive_witness(k, q, values, agg, unit):
 
 def test_witness_search_matches_exhaustive_search():
     for q in prime_powers_upto(13):
-        gf = field_new(q)
+        gf = GF(q)
         for k in range(3, 11):
             for search, values, agg, unit in (
                 (spike_witness_search, range(1, q), gf.add, 0),
@@ -200,7 +200,7 @@ def test_brute_force_rep_agrees_with_the_placement_search():
     for _ in range(60):
         q0, r = rng.choice((2, 3, 4, 5)), rng.choice((2, 3))
         points = list(pg(r, q0).matroid.columns)
-        m = LinearMatroid(field_new(q0), rng.sample(points, rng.randint(r, min(8, len(points)))))
+        m = LinearMatroid(GF(q0), rng.sample(points, rng.randint(r, min(8, len(points)))))
         for q in (2, 3, 4, 5) if m.n <= 6 else (2, 3):
             rep = brute_force_linear_rep(m, q)
             assert (rep is not None) == _placement_oracle(m, q), (m.columns, q)

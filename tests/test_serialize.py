@@ -3,10 +3,10 @@ import json
 import pytest
 
 from mforge import (
+    GF,
     LinearMatroid,
     SchemaError,
     SizeCapError,
-    field_new,
     free_swirl,
     io_roundtrip,
     matroid_from_json,
@@ -129,7 +129,7 @@ def test_field_documents_checked_strictly():
 
 
 def test_parse_reconstructs_arithmetic():
-    gf = field_new(9)
+    gf = GF(9)
     m = LinearMatroid(gf, [(1, 0), (0, 1), (1, 1), (1, 3)])
     back = matroid_from_json(matroid_to_json(m))
     assert isinstance(back, LinearMatroid)
