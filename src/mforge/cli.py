@@ -221,7 +221,7 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     from .suites import run_suite
 
-    report = run_suite(args.suite, seed=args.seed, caps=caps)
+    report = run_suite(args.suite, seed=args.seed, caps=caps, jobs=args.jobs)
     lines = [json.dumps(c, sort_keys=True) for c in report.cases]
     summary = {
         "suite": report.suite,
@@ -294,8 +294,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite", formatter_class=_VerifyHelp)
     p.add_argument("suite", help="one of: {suites}")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="echoed in the summary; cases always run in order")
+    p.add_argument("--jobs", type=int, default=1, metavar="N",
+                   help="run the cases on up to N processes, the caller and forked workers, "
+                        "at most one per usable CPU; the report does not depend on N")
     p.add_argument("--caps", help="override corpus caps, e.g. max_ground=32")
     p.add_argument("--out", help="write the JSON-lines report here instead of stdout")
     p.set_defaults(fn=_cmd_verify)

@@ -2,9 +2,18 @@
 
 Each suite is a named list of independent cases.  A case is a thunk
 returning a JSON-serializable dict with at least a "pass" bool; the
-runner calls them in order on the calling thread, sorts the results by
-case id, and wraps them in a SuiteReport.  Case ids are stable strings,
-so two runs with the same seed produce identical reports line for line.
+runner sorts the results by case id and wraps them in a SuiteReport.  Case
+ids are stable strings, so two runs with the same seed produce identical
+reports line for line, whatever the number of jobs.
+
+With jobs = 1 the runner calls the cases in order on the calling thread.
+With jobs > 1 it forks up to min(jobs, cases, usable CPUs) - 1 workers once
+the builder has run, so every process shares the built corpus and
+geometries copy-on-write; each process, the caller included, takes the next
+case index from one shared pipe, and each worker sends its results back
+with marshal.  A worker that dies, or a case that never comes back, is an
+MforgeError, never a shorter report.  Where os.fork is missing or the
+caller runs more than one thread, the runner runs the cases serially.
 
 SUITES maps each suite name to its builder(seed, caps).  Builders and
 checks import the modules they use in their own bodies, so `mforge verify`
@@ -22,11 +31,14 @@ against its target with minor_is_valid.
 
 from __future__ import annotations
 
+import gc
 import itertools
+import marshal
+import os
 import random
 import time
 
-from .errors import LemmaViolationError
+from .errors import LemmaViolationError, MforgeError
 from .records import CorpusCaps, Record
 
 
@@ -528,24 +540,116 @@ SUITES = {
 }
 
 
-def run_suite(suite: str, seed: int = 0, caps: CorpusCaps | None = None) -> SuiteReport:
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}")
-    caps = caps or CorpusCaps()
-    started = time.monotonic()
-    results = []
-    # popped one at a time, so a finished case's closure (corpus matroids,
-    # rank memos) is freed before the next case runs
-    cases = SUITES[suite](seed, caps)[::-1]
-    while cases:
-        cid, thunk = cases.pop()
+def _run_cases(cases: list, indices) -> list:
+    """Runs case i for each i of indices; returns the (i, result) pairs.
+
+    Entry i is cleared before its case runs, so a finished case's closure
+    (corpus matroids, rank memos) is freed before the next case runs."""
+    done = []
+    for i in indices:
+        cid, thunk = cases[i]
+        cases[i] = None
         try:
             out = thunk()
         except Exception as exc:  # a crashed case is a failed case, not a crashed run
             out = _fail(f"raised {type(exc).__name__}: {exc}")
         out["case"] = cid
-        results.append(out)
-    results.sort(key=lambda c: c["case"])
+        done.append((i, out))
+    return done
+
+
+def _queued(fd: int):
+    """Case indices read one at a time from the shared queue pipe until EOF."""
+    while len(taken := os.read(fd, 4)) == 4:
+        yield int.from_bytes(taken, "little")
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _single_threaded() -> bool:
+    """True when this process runs one OS thread, so a fork copies no lock
+    another thread holds (Python 3.12+ warns on a multi-threaded fork)."""
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        import threading
+
+        return threading.active_count() == 1
+
+
+def _run_forked(cases: list, workers: int) -> list | None:
+    """Runs the cases on this process and `workers` forked ones; returns the
+    (i, result) pairs, or None when the index queue does not fit in the pipe
+    buffer (the caller then runs the cases serially)."""
+    queue, feed = os.pipe()
+    indices = b"".join(i.to_bytes(4, "little") for i in range(len(cases)))
+    os.set_blocking(feed, False)
+    try:
+        fits = os.write(feed, indices) == len(indices)
+    except BlockingIOError:
+        fits = False
+    os.close(feed)  # EOF ends every reader once the queue is drained
+    if not fits:
+        os.close(queue)
+        return None
+    import signal
+
+    children = {}  # worker pid -> the pipe its (i, result) pairs come back on
+    gc.freeze()  # so no worker's collector writes to, and so copies, the builder's heap
+    try:
+        for _ in range(workers):
+            back, out = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # a worker never returns into the caller
+                status = 1
+                try:
+                    with open(out, "wb") as f:
+                        f.write(marshal.dumps(_run_cases(cases, _queued(queue))))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(out)
+            children[pid] = open(back, "rb")
+        done = _run_cases(cases, _queued(queue))
+        for pid, results in list(children.items()):
+            raw = results.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            results.close()
+            if status != 0:
+                raise MforgeError(f"suite worker {pid} exited with status {status}")
+            done += marshal.loads(raw)
+    finally:
+        os.close(queue)
+        for pid, results in children.items():
+            results.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        gc.unfreeze()
+    if sorted(i for i, _ in done) != list(range(len(cases))):
+        raise MforgeError("suite workers did not return every case exactly once")
+    return done
+
+
+def run_suite(suite: str, seed: int = 0, caps: CorpusCaps | None = None,
+              jobs: int = 1) -> SuiteReport:
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}")
+    caps = caps or CorpusCaps()
+    started = time.monotonic()
+    cases = SUITES[suite](seed, caps)
+    done = None
+    if jobs > 1 and hasattr(os, "fork") and _single_threaded():
+        workers = min(jobs, len(cases), _usable_cpus()) - 1
+        if workers > 0:
+            done = _run_forked(cases, workers)
+    if done is None:
+        done = _run_cases(cases, range(len(cases)))
+    results = sorted((out for _, out in done), key=lambda c: c["case"])
     elapsed = int((time.monotonic() - started) * 1000)
     return SuiteReport(
         suite=suite,

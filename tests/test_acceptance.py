@@ -11,13 +11,14 @@ benchmark's iso/has-minor stream (perfbench/gen.py) at two seeds.
 """
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 from mforge.constructions import ag, pg
 from mforge.matroid import GROUND_CAP
-from mforge.suites import run_suite
+from mforge.suites import SUITES, run_suite
 
 
 def _verdict(capsys, k: int, ok: bool, detail: str, elapsed: float, limit: float):
@@ -170,13 +171,30 @@ _SEED23_DIGESTS = {
 }
 
 
-def test_seed_dependent_reports_at_a_second_seed():
+def _seed23_drifted(jobs: int = 1) -> list:
     drifted = []
     for suite, want in _SEED23_DIGESTS.items():
-        lines = [json.dumps(c, sort_keys=True) for c in run_suite(suite, seed=23).cases]
+        lines = [json.dumps(c, sort_keys=True) for c in run_suite(suite, seed=23, jobs=jobs).cases]
         if hashlib.sha256("\n".join(lines).encode()).hexdigest() != want:
             drifted.append(suite)
+    return drifted
+
+
+def test_seed_dependent_reports_at_a_second_seed():
+    drifted = _seed23_drifted()
     assert not drifted, f"seed-23 case lines differ from the pinned digests: {', '.join(drifted)}"
+
+
+def test_reports_at_two_jobs_match_the_pins(monkeypatch):
+    # two usable CPUs, so jobs=2 forks one worker on any machine; the report
+    # must not depend on which process ran which case
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    reports = [run_suite(s, jobs=2) for s in sorted(SUITES)]
+    assert all(r.passed for r in reports)
+    drifted = [r.suite for r in reports if not _matches_reference(r)]
+    assert not drifted, f"seed-0 case lines at jobs=2 differ from the reference: {', '.join(drifted)}"
+    drifted = _seed23_drifted(jobs=2)
+    assert not drifted, f"seed-23 case lines at jobs=2 differ from the pinned digests: {', '.join(drifted)}"
 
 
 # SHA-256 of the "\n"-joined [name, exit code, stdout] lines of the

@@ -19,6 +19,7 @@ from mforge import (
     two_sum_chain,
     uniform,
 )
+from mforge.matroid import pg_size
 
 
 def test_projective_counts_small():
@@ -190,6 +191,15 @@ def test_density_witness_counts():
         density_witness(2, "nope", 3)
     w = density_witness(2, "Llambda", 2).matroid
     assert are_isomorphic(w, uniform(2, 5).matroid) is not None
+
+
+def test_density_witness_of_L_is_the_projective_geometry():
+    for q, n in ((2, 2), (2, 3), (3, 3), (4, 2)):
+        w = density_witness(q, "L", n)
+        m = pg(n, q).matroid
+        assert w.name == f"L({q},{n})"
+        assert w.matroid.field == m.field and w.matroid.columns == m.columns
+        assert w.matroid.epsilon() == w.matroid.n == pg_size(q, n)
 
 
 def test_density_witnesses_are_dense():

@@ -160,3 +160,20 @@ def test_untabled_fields_satisfy_sampled_axioms(q):
         assert gf.add(a, gf.neg(a)) == 0
         if a:
             assert gf.mul(a, gf.inv(a)) == 1
+
+
+def test_negative_powers_are_inverse_powers():
+    for q in prime_powers_upto(16):
+        gf = GF(q)
+        for a in gf.nonzero():
+            for e in range(1, q):
+                assert gf.pow(a, -e) == gf.inv(gf.pow(a, e)), (q, a, e)
+
+
+def test_equal_fields_hash_equal_and_print_their_order():
+    a, b = GF(9), GF(9)
+    assert a is not b and a == b and hash(a) == hash(b)
+    c = GF.from_parts(a.p, a.k, a.modulus)
+    assert c == a and hash(c) == hash(a)
+    assert {a: "nine"}[b] == "nine"
+    assert repr(GF(9)) == "GF(9)"

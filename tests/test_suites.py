@@ -1,5 +1,7 @@
 import json
+import os
 import threading
+import time
 import weakref
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from mforge import matroid, minors, representability
 from mforge.cli import main
 from mforge.corpus import CorpusCaps, corpus_generate, descriptor
-from mforge.errors import LemmaViolationError
+from mforge.errors import LemmaViolationError, MforgeError
 from mforge.gf import GF
 from mforge.matroid import Matroid
 from mforge.suites import SUITES, run_suite
@@ -77,6 +79,109 @@ def test_finished_case_is_released(monkeypatch):
     monkeypatch.setitem(SUITES, "field-axioms", build)
     rep = run_suite("field-axioms")
     assert [c["pass"] for c in rep.cases] == [True, True]
+
+
+def _two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _wait_for(path):
+    # the caller's case waits until a worker has run one, so a worker is
+    # sure to take a case before the caller drains the queue
+    deadline = time.monotonic() + 30
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.005)
+
+
+def test_dying_worker_is_an_error_and_is_reaped(monkeypatch, tmp_path, capsys):
+    parent = os.getpid()
+    mark = tmp_path / "worker-ran"
+
+    def thunk():
+        if os.getpid() != parent:
+            mark.touch()
+            os._exit(3)
+        _wait_for(mark)
+        return {"pass": True}
+
+    _two_cpus(monkeypatch)
+    monkeypatch.setitem(SUITES, "field-axioms", lambda seed, caps: [(f"c[{i}]", thunk) for i in range(4)])
+    with pytest.raises(MforgeError):
+        run_suite("field-axioms", jobs=2)
+    mark.unlink()
+    assert main(["verify", "field-axioms", "--jobs", "2"]) == 2
+    assert "exited with status 3" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_case_raising_in_a_worker_fails_as_in_serial(monkeypatch, tmp_path):
+    parent = os.getpid()
+    mark = tmp_path / "worker-ran"
+
+    def thunk():
+        if os.getpid() != parent:
+            mark.touch()
+        else:
+            _wait_for(mark)
+        raise ValueError("boom")
+
+    _two_cpus(monkeypatch)
+    monkeypatch.setitem(SUITES, "field-axioms", lambda seed, caps: [(f"c[{i}]", thunk) for i in range(4)])
+    forked = run_suite("field-axioms", jobs=2)
+    assert mark.exists()
+    serial = run_suite("field-axioms")
+    assert forked.cases == serial.cases
+    assert serial.cases[0] == {"pass": False, "detail": "raised ValueError: boom", "case": "c[0]"}
+
+
+def test_workers_are_capped_by_cpus_and_cases(monkeypatch, capsys):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(os, "fork", counted)
+    for n, want in ((3, 1), (1, 0)):
+        forks.clear()
+        monkeypatch.setitem(SUITES, "field-axioms",
+                            lambda seed, caps, n=n: [(f"c[{i}]", lambda: {"pass": True}) for i in range(n)])
+        assert main(["verify", "field-axioms", "--jobs", "1000000"]) == 0
+        assert len(forks) == want, n
+
+
+def test_more_workers_than_cores_return_each_case_once(monkeypatch):
+    def thunk():
+        time.sleep(0.002)
+        return {"pass": True, "pid": os.getpid()}
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setitem(SUITES, "field-axioms", lambda seed, caps: [(f"c[{i:03d}]", thunk) for i in range(200)])
+    rep = run_suite("field-axioms", jobs=4)
+    assert [c["case"] for c in rep.cases] == [f"c[{i:03d}]" for i in range(200)]
+    assert len({c["pid"] for c in rep.cases}) > 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_without_fork_jobs_run_in_order_on_calling_thread(monkeypatch):
+    calls = []
+
+    def case(cid):
+        return cid, lambda: calls.append((cid, threading.get_ident())) or {"pass": True}
+
+    order = ["c[2]", "a[3]", "b[1]"]
+    _two_cpus(monkeypatch)
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setitem(SUITES, "field-axioms", lambda seed, caps: [case(c) for c in order])
+    rep = run_suite("field-axioms", jobs=2)
+    assert calls == [(cid, threading.get_ident()) for cid in order]
+    assert [c["case"] for c in rep.cases] == sorted(order)
 
 
 @pytest.mark.parametrize("suite", ["rank-axioms", "kung", "lemma4", "lemma5"])
