@@ -41,6 +41,8 @@ def _parse_params(tokens: list[str]) -> dict:
         if "=" not in tok:
             raise SchemaError("bad-value", f"parameter {tok!r} is not key=value")
         key, _, val = tok.partition("=")
+        if key in out:
+            raise SchemaError("bad-value", f"parameter {key!r} given twice")
         out[key] = int(val) if val.lstrip("-").isdigit() else val
     return out
 
@@ -78,6 +80,8 @@ def _parse_caps(text: str | None) -> dict:
         key = key.strip()
         if key not in fields:
             raise SchemaError("bad-value", f"unknown cap {key!r}; known: {sorted(fields)}")
+        if key in out:
+            raise SchemaError("bad-value", f"cap {key!r} given twice")
         try:
             out[key] = int(val)
         except ValueError:

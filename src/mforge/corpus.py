@@ -36,7 +36,7 @@ from .constructions import (
     two_sum_chain,
     uniform,
 )
-from .matroid import BasesMatroid, LinearMatroid, bits, ksubset_masks, mask_of
+from .matroid import BasesMatroid, LinearMatroid, ksubset_masks, mask_of, representatives
 from .records import CorpusCaps  # defined apart so the CLI can build caps cheaply
 
 
@@ -109,9 +109,7 @@ def corpus_generate(seed: int = 0, caps: CorpusCaps | None = None) -> list[Named
         assert isinstance(m, LinearMatroid)
         e = rng.randrange(m.n)
         quo = m.contract_columns(mask_of([e]))
-        keep = 0
-        for cls in quo.point_classes():
-            keep |= 1 << min(bits(cls))
+        keep = representatives(quo.point_classes())
         add(NamedMatroid(quo.restrict_columns(keep), name=f"SiCon{i}({nm.name};s{seed})"))
 
     return out

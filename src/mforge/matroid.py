@@ -105,6 +105,11 @@ def mask_of(elems) -> int:
     return m
 
 
+def representatives(classes) -> int:
+    """Mask of each class's least element; the classes are disjoint, so a sum is their union."""
+    return sum(c & -c for c in classes)
+
+
 def ksubset_masks(n: int, k: int):
     """All k-element submasks of {0..n-1} in ascending bitmask order (Gosper)."""
     if k < 0 or k > n:
@@ -336,13 +341,11 @@ class Matroid:
         """
         classes = self.point_classes()
         mapping: list[int | None] = [None] * self.n
-        keep = 0
         for i, cls in enumerate(classes):
             for e in bits(cls):
                 mapping[e] = i
-            keep |= cls & -cls  # least element represents the class
         full = (1 << self.n) - 1
-        return self.minor(0, full ^ keep), mapping
+        return self.minor(0, full ^ representatives(classes)), mapping
 
     def is_q_dense(self, q: int) -> bool:
         """Whether the point count strictly exceeds pg_size(q, r)."""
@@ -543,7 +546,7 @@ class LinearMatroid(Matroid):
         walk = count * (gf.q**k - 1) // (gf.q - 1)
         if self.n <= ENUM_CAP and walk > math.comb(self.n, k) * self.n:
             return super()._flats_impl(k)
-        if count > SUBSPACE_ENUM_CAP:
+        if self.n > ENUM_CAP and count > SUBSPACE_ENUM_CAP:  # where the generic search refuses
             _log_fallback(
                 "LinearMatroid flats fall back to the generic search: %d rank-%d subspaces "
                 "of GF(%d)^%d exceed %d", count, k, gf.q, r, SUBSPACE_ENUM_CAP)

@@ -38,7 +38,8 @@ from .errors import (
     RepresentableInputError,
     SizeCapError,
 )
-from .matroid import Matroid, bits, ksubset_masks, mask_of, pg_size, rank_mismatch
+from .matroid import (Matroid, bits, ksubset_masks, mask_of, pg_size, rank_mismatch,
+                      representatives)
 from .records import Record
 
 ISO_CAP = 20
@@ -205,6 +206,12 @@ def are_isomorphic(m: Matroid, n: Matroid, *, _n_memo=None) -> IsoCertificate | 
 # -- minor detection -----------------------------------------------------------------
 
 
+def _in_host(m: Matroid, minor: Matroid, mask: int) -> int:
+    """The ids in m of a mask of its minor.  minor(0, 0) returns m itself, whose
+    masks are m's already: it has no lift_mask, or (a MinorView) one into its parent."""
+    return mask if minor is m else minor.lift_mask(mask)
+
+
 def _is_uniform_line(n: Matroid) -> int | None:
     """If N is a simple rank-2 uniform matroid, its size; else None."""
     if n.full_rank == 2 and not n.loops() and n.epsilon() == n.n:
@@ -257,10 +264,7 @@ def has_minor(m: Matroid, n: Matroid) -> MinorWitness | None:
                 continue
             cert = are_isomorphic(mc.restrict(keep), n, _n_memo=n_memo)
             if cert is not None:
-                # contract(0) is m: no lift_mask, or a MinorView's into its own parent
-                kept_m = keep if mc is m else mc.lift_mask(keep)
-                dmask = full ^ cmask ^ kept_m
-                return MinorWitness(cmask, dmask, cert)
+                return MinorWitness(cmask, full ^ cmask ^ _in_host(m, mc, keep), cert)
     return None
 
 
@@ -282,12 +286,8 @@ def _line_minor_witness(m: Matroid, size: int) -> MinorWitness | None:
         return None
     basis = m._greedy_basis(co)
     mc = m.contract(basis)
-    keep = 0
-    for cls in mc.point_classes()[:size]:
-        keep |= cls & -cls
-    # contract(0) is m: no lift_mask, or a MinorView's into its own parent
-    kept_m = keep if mc is m else mc.lift_mask(keep)
-    dmask = ((1 << m.n) - 1) ^ basis ^ kept_m
+    keep = representatives(mc.point_classes()[:size])
+    dmask = ((1 << m.n) - 1) ^ basis ^ _in_host(m, mc, keep)
     if _is_uniform_line(m.minor(basis, dmask)) == size:
         return MinorWitness(basis, dmask, IsoCertificate(tuple(range(size))))
     return None
@@ -434,8 +434,6 @@ def dense_restriction(m: Matroid, q: int, t: int) -> DenseRestrictionReport:
     cur_mask = (1 << m.n) - 1
     while True:
         cur = m.restrict(cur_mask)
-        # restrict(full) is m: no lift_mask, or a MinorView's into its own parent
-        lift = (lambda x: x) if cur is m else cur.lift_mask
         r0 = cur.full_rank
         full_local = (1 << cur.n) - 1
         split = next((c for c in cur.cocircuits() if cur.rank(c) <= r0 - 2), None)
@@ -458,8 +456,8 @@ def dense_restriction(m: Matroid, q: int, t: int) -> DenseRestrictionReport:
                 f"both sides of cocircuit split fail the weighted density bound "
                 f"(eps {eps_co}/{eps_hyp}, ranks {r_co}/{r_hyp}, threshold {threshold})"
             )
-        trace.append((lift(split), kept))
-        cur_mask = lift(keep_local)
+        trace.append((_in_host(m, cur, split), kept))
+        cur_mask = _in_host(m, cur, keep_local)
     final = m.restrict(cur_mask)
     final_dense = final.is_q_dense(q)
     if hypothesis_holds and not (final_dense and final.full_rank >= t):
@@ -532,10 +530,7 @@ def unavoidable_minor_of_extension(
     classes = quotient.point_classes()
     if len(classes) != pg_size(q, mm) + 1:
         raise LemmaViolationError(f"contraction has {len(classes)} points, not the {tag} count")
-    keep = 0
-    for cls in classes:
-        keep |= cls & -cls
-    dmask = ((1 << m.n) - 1) ^ contract ^ quotient.lift_mask(keep)
+    dmask = ((1 << m.n) - 1) ^ contract ^ _in_host(m, quotient, representatives(classes))
     minor = m.minor(contract, dmask)
     target = principal_geometry_extension(mm, q, tag_k)
     cert = are_isomorphic(minor, target.matroid)

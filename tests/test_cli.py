@@ -236,6 +236,19 @@ def test_caps_below_one_rejected(caps, capsys):
     assert out == "" and err.startswith("mforge: bad-value: ") and "at least 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "pg", "n=3", "q=2", "n=4"),
+    ("verify", "kung", "--caps", "max_ground=3,max_ground=5"),
+])
+def test_repeated_key_is_refused(argv, tmp_path, capsys):
+    # a second value for one key would silently replace the first
+    path = tmp_path / "out.json"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("mforge: bad-value: ") and "given twice" in err
+    assert not path.exists()
+
+
 def test_caps_rejects_removed_max_bases(capsys):
     code, out, err = run(capsys, "verify", "kung", "--caps", "max_bases=10")
     assert code == 2

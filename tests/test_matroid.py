@@ -615,6 +615,19 @@ def test_few_columns_over_large_field_choose_the_search(q, caplog, monkeypatch):
     assert caplog.records == []
 
 
+def test_subspaces_past_their_cap_below_enum_cap_take_the_walk(caplog, monkeypatch):
+    # with SUBSPACE_ENUM_CAP at 1, PG(3,2)'s 35 lines exceed it; on at most
+    # ENUM_CAP elements the cost model alone picks the path, here the
+    # subspace walk, and no fallback is logged
+    m = pg(4, 2).matroid
+    expected = [sorted(Matroid._flats_impl(m, k)) for k in range(5)]
+    monkeypatch.setattr("mforge.matroid.SUBSPACE_ENUM_CAP", 1)
+    monkeypatch.setattr(Matroid, "_flats_impl", _refuse)
+    with caplog.at_level(logging.DEBUG, logger="mforge"):
+        assert [m.flats_of_rank(k) for k in range(5)] == expected
+    assert caplog.records == []
+
+
 def test_flat_fallbacks_are_logged(caplog):
     # a minor of a linear matroid reads its flats off the parent's; rank-2
     # subspaces of GF(37)^4 exceed SUBSPACE_ENUM_CAP, and past ENUM_CAP the

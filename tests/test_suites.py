@@ -1,3 +1,5 @@
+import contextlib
+import fcntl
 import json
 import os
 import threading
@@ -6,7 +8,7 @@ import weakref
 
 import pytest
 
-from mforge import matroid, minors, representability
+from mforge import matroid, minors, representability, suites
 from mforge.cli import main
 from mforge.corpus import CorpusCaps, corpus_generate, descriptor
 from mforge.errors import LemmaViolationError, MforgeError
@@ -182,6 +184,76 @@ def test_without_fork_jobs_run_in_order_on_calling_thread(monkeypatch):
     rep = run_suite("field-axioms", jobs=2)
     assert calls == [(cid, threading.get_ident()) for cid in order]
     assert [c["case"] for c in rep.cases] == sorted(order)
+
+
+def _assert_runs_serially(monkeypatch, n):
+    # jobs=2 on two CPUs with a fork that raises: n cases must run in order
+    # on the calling thread
+    calls = []
+
+    def case(cid):
+        return cid, lambda: calls.append((cid, threading.get_ident())) or {"pass": True}
+
+    def no_fork():
+        raise AssertionError("a serial fallback forked")
+
+    ids = [f"c[{i:06d}]" for i in range(n)]
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setitem(SUITES, "field-axioms", lambda seed, caps: [case(c) for c in ids])
+    rep = run_suite("field-axioms", jobs=2)
+    assert calls == [(cid, threading.get_ident()) for cid in ids]
+    assert [c["case"] for c in rep.cases] == ids
+
+
+@contextlib.contextmanager
+def _second_thread():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(30,))
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+
+
+def test_queue_past_the_pipe_buffer_runs_serially(monkeypatch):
+    # the index queue is written before the fork; one index more than the
+    # pipe holds runs the cases serially instead of blocking the writer
+    size = 1 << 19
+    if hasattr(fcntl, "F_GETPIPE_SZ"):
+        read, write = os.pipe()
+        try:
+            size = fcntl.fcntl(write, fcntl.F_GETPIPE_SZ)
+        finally:
+            os.close(read)
+            os.close(write)
+    monkeypatch.setattr(suites, "_single_threaded", lambda: True)  # the pipe alone decides
+    _assert_runs_serially(monkeypatch, size // 4 + 1)
+
+
+def test_second_live_thread_runs_serially(monkeypatch):
+    # a fork would copy a lock the other thread may hold
+    with _second_thread():
+        _assert_runs_serially(monkeypatch, 3)
+
+
+def test_unreadable_task_list_counts_python_threads(monkeypatch):
+    asked = []
+    listdir = os.listdir
+
+    def guarded(path="."):
+        if str(path) == "/proc/self/task":
+            asked.append(path)
+            raise PermissionError(path)
+        return listdir(path)
+
+    monkeypatch.setattr(os, "listdir", guarded)
+    with _second_thread():
+        _assert_runs_serially(monkeypatch, 3)
+    assert asked
 
 
 @pytest.mark.parametrize("suite", ["rank-axioms", "kung", "lemma4", "lemma5"])
