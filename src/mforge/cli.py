@@ -10,6 +10,7 @@ Corpus caps are set with --caps "max_ground=32,max_rank=6".
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -320,5 +321,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def entry() -> int:
+    """`mforge`'s process entry: main, then a heap freeze, so the last collection
+    at exit walks nothing (main alone never freezes an in-process caller's heap)."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -1092,21 +1092,30 @@ def rank_axioms_hold(m: Matroid) -> str | None:
     Unit increase plus local submodularity
       r(X+e) + r(X+f) >= r(X+e+f) + r(X)
     over all X and e, f not in X is equivalent to the full axiom system.
-    Each subset's rank is read from m.rank once, then swept from that list.
+    Each subset's rank is read once.  Given unit increase, local submodularity
+    is cl(X) within cl(X+e); a failure is named by the pair scan over (e, f).
     """
     if m.n > 16:
         raise SizeCapError("axiom sweep needs n <= 16")
     ranks = [m.rank(x) for x in range(1 << m.n)]
     if ranks[0] != 0:
         return "rank of empty set is nonzero"
+    cl, units = [0] * len(ranks), [1 << e for e in range(m.n)]  # cl[x]: what x spans
+    for b in units:
+        up = [ranks[x | b] - rx for x, rx in enumerate(ranks)]
+        if not {0, 1}.issuperset(up):
+            break
+        cl = [c if d else c | b for c, d in zip(cl, up)]
+    else:
+        if not any(any([c & ~cl[x | b] for x, c in enumerate(cl)]) for b in units):
+            return None
     for x, rx in enumerate(ranks):
         outside = [e for e in range(m.n) if not x & (1 << e)]
         for e in outside:
             if not rx <= ranks[x | (1 << e)] <= rx + 1:
                 return f"unit increase fails at X={x} e={e}"
         for i, e in enumerate(outside):
-            re = ranks[x | (1 << e)]
             for f in outside[i + 1:]:
-                if re + ranks[x | (1 << f)] < ranks[x | (1 << e) | (1 << f)] + rx:
+                if ranks[x | 1 << e] + ranks[x | 1 << f] < ranks[x | 1 << e | 1 << f] + rx:
                     return f"submodularity fails at X={x} e={e} f={f}"
     return None

@@ -68,16 +68,17 @@ def _check_field(q: int, seed: int) -> dict:
 
     gf = GF(q)
     els = list(gf.elements())
+    add, mul = ([[op(a, b) for b in els] for a in els] for op in (gf.add, gf.mul))
     for a in els:
-        if gf.add(a, gf.neg(a)) != 0:
+        if add[a][gf.neg(a)] != 0:
             return _fail(f"additive inverse broken at {a}")
-        if a and gf.mul(a, gf.inv(a)) != 1:
+        if a and mul[a][gf.inv(a)] != 1:
             return _fail(f"multiplicative inverse broken at {a}")
-        if gf.add(a, 0) != a or gf.mul(a, 1) != a or gf.mul(a, 0) != 0:
+        if add[a][0] != a or mul[a][1] != a or mul[a][0] != 0:
             return _fail(f"identity law broken at {a}")
     for a in els:
         for b in els:
-            if gf.add(a, b) != gf.add(b, a) or gf.mul(a, b) != gf.mul(b, a):
+            if add[a][b] != add[b][a] or mul[a][b] != mul[b][a]:
                 return _fail(f"commutativity broken at ({a},{b})")
     if q <= 16:
         triples = itertools.product(els, repeat=3)
@@ -87,18 +88,18 @@ def _check_field(q: int, seed: int) -> dict:
         triples = zip(vals[0::3], vals[1::3], vals[2::3])
         mode = "sampled-4096"
     for a, b, c in triples:
-        if gf.add(gf.add(a, b), c) != gf.add(a, gf.add(b, c)):
+        if add[add[a][b]][c] != add[a][add[b][c]]:
             return _fail(f"additive associativity broken at ({a},{b},{c})")
-        if gf.mul(gf.mul(a, b), c) != gf.mul(a, gf.mul(b, c)):
+        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
             return _fail(f"multiplicative associativity broken at ({a},{b},{c})")
-        if gf.mul(a, gf.add(b, c)) != gf.add(gf.mul(a, b), gf.mul(a, c)):
+        if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
             return _fail(f"distributivity broken at ({a},{b},{c})")
     # the nonzero elements must be cyclic of order q-1
     max_order = 0
     for g in gf.nonzero():
         x, order = g, 1
         while x != 1:
-            x = gf.mul(x, g)
+            x = mul[x][g]
             order += 1
             if order > q:
                 return _fail(f"element {g} has no finite multiplicative order")

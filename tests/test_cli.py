@@ -1,10 +1,13 @@
 import functools
+import gc
 import itertools
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -488,3 +491,52 @@ def test_bases_document_with_billions_of_independent_sets(tmp_path, capsys):
     code, out, err = run(capsys, "iso", str(path), str(path))
     assert (code, out) == (2, "")
     assert "isomorphism search needs n <= 20, got 31" in err
+
+
+# -- the process entry: `python -m mforge.cli` and the `mforge` script
+
+def _without_elapsed(out: bytes) -> bytes:
+    """A verify report with the summary's elapsed_ms taken out."""
+    *cases, summary = out.decode().splitlines()
+    doc = json.loads(summary)
+    doc.pop("elapsed_ms")
+    return "\n".join([*cases, json.dumps(doc, sort_keys=True)]).encode()
+
+
+def test_process_entry_prints_and_exits_as_main_does(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the same width
+    fano, u37 = tmp_path / "fano.json", tmp_path / "u37.json"
+    save_path(mforge.pg(3, 2).matroid, str(fano))
+    save_path(mforge.uniform(3, 7).matroid, str(u37))
+    src = str(Path(mforge.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    runs = [(["--help"], 0), (["nosuch"], 2), (["verify", "eventual-base"], 0),
+            (["iso", str(fano), str(u37)], 1), (["eps", str(tmp_path / "missing.json")], 2)]
+    for argv, want in runs:
+        proc = subprocess.run([sys.executable, "-m", "mforge.cli", *argv], env=env,
+                              capture_output=True, check=False)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits on --help and on a usage error
+            code = exc.code
+        out = capsys.readouterr().out.encode()
+        if argv[0] == "verify":
+            out, proc.stdout = _without_elapsed(out), _without_elapsed(proc.stdout)
+        assert (proc.returncode, proc.stdout) == (code, out) and code == want, argv
+
+
+def test_process_entry_freezes_the_heap_and_main_does_not(monkeypatch, capsys):
+    gc.unfreeze()
+    assert main(["verify", "eventual-base"]) == 0
+    assert gc.get_freeze_count() == 0
+    monkeypatch.setattr(sys, "argv", ["mforge", "verify", "eventual-base"])
+    try:
+        with warnings.catch_warnings(), pytest.raises(SystemExit) as exc:
+            # runpy warns that mforge.cli is imported already
+            warnings.simplefilter("ignore", RuntimeWarning)
+            runpy.run_module("mforge.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    capsys.readouterr()

@@ -1,7 +1,9 @@
 import contextlib
 import fcntl
+import itertools
 import json
 import os
+import random
 import threading
 import time
 import weakref
@@ -420,3 +422,116 @@ def test_verify_exits_one_on_a_failing_suite(monkeypatch, capsys):
     summary = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert summary["suite"] == "kung" and summary["pass"] is False
     assert summary["failures"] > 0
+
+
+# -- field axioms: the table-first check against the per-call one it replaced
+
+def _check_field_by_calls(gf, seed: int) -> dict:
+    """The field-axioms check as it read before the tables: each law is
+    evaluated through gf.add and gf.mul call by call."""
+    q = gf.q
+    els = list(gf.elements())
+    for a in els:
+        if gf.add(a, gf.neg(a)) != 0:
+            return suites._fail(f"additive inverse broken at {a}")
+        if a and gf.mul(a, gf.inv(a)) != 1:
+            return suites._fail(f"multiplicative inverse broken at {a}")
+        if gf.add(a, 0) != a or gf.mul(a, 1) != a or gf.mul(a, 0) != 0:
+            return suites._fail(f"identity law broken at {a}")
+    for a in els:
+        for b in els:
+            if gf.add(a, b) != gf.add(b, a) or gf.mul(a, b) != gf.mul(b, a):
+                return suites._fail(f"commutativity broken at ({a},{b})")
+    if q <= 16:
+        triples = itertools.product(els, repeat=3)
+        mode = "exhaustive"
+    else:
+        vals = random.Random(seed * 1000003 + q).choices(range(q), k=3 * 4096)
+        triples = zip(vals[0::3], vals[1::3], vals[2::3])
+        mode = "sampled-4096"
+    for a, b, c in triples:
+        if gf.add(gf.add(a, b), c) != gf.add(a, gf.add(b, c)):
+            return suites._fail(f"additive associativity broken at ({a},{b},{c})")
+        if gf.mul(gf.mul(a, b), c) != gf.mul(a, gf.mul(b, c)):
+            return suites._fail(f"multiplicative associativity broken at ({a},{b},{c})")
+        if gf.mul(a, gf.add(b, c)) != gf.add(gf.mul(a, b), gf.mul(a, c)):
+            return suites._fail(f"distributivity broken at ({a},{b},{c})")
+    max_order = 0
+    for g in gf.nonzero():
+        x, order = g, 1
+        while x != 1:
+            x = gf.mul(x, g)
+            order += 1
+            if order > q:
+                return suites._fail(f"element {g} has no finite multiplicative order")
+        max_order = max(max_order, order)
+    if max_order != q - 1:
+        return suites._fail(f"no generator: max multiplicative order {max_order}, want {q - 1}")
+    return suites._ok(q=q, triples=mode)
+
+
+def _corrupted(q: int, table: str, cells, value: int) -> GF:
+    """GF(q) with `value` written into the given (row, column) cells of one
+    of its tables: "_add" and "_mul" take pairs, "_neg" and "_inv" indices."""
+    gf = GF(q)
+    for cell in cells:
+        if table in ("_add", "_mul"):
+            getattr(gf, table)[cell[0]][cell[1]] = value
+        else:
+            getattr(gf, table)[cell] = value
+    return gf
+
+
+def _field_corruptions(q: int):
+    """Every single-entry and every symmetric-pair corruption of GF(q)'s
+    add and mul tables, to every wrong value."""
+    right = GF(q)
+    for table in ("_add", "_mul"):
+        rows = getattr(right, table)
+        for a, b in itertools.product(range(q), repeat=2):
+            for v in range(q):
+                if v != rows[a][b]:
+                    yield table, [(a, b)], v
+                    if a < b:
+                        yield table, [(a, b), (b, a)], v
+
+
+def _same_verdict(monkeypatch, q: int, seed: int, table: str, cells, value: int) -> dict:
+    monkeypatch.setattr("mforge.gf.GF", lambda order: _corrupted(order, table, cells, value))
+    new = suites._check_field(q, seed)
+    assert new == _check_field_by_calls(_corrupted(q, table, cells, value), seed), (
+        table, cells, value)
+    return new
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_field_check_matches_the_per_call_check_on_every_corruption(q, monkeypatch):
+    details = set()
+    for table, cells, value in _field_corruptions(q):
+        verdict = _same_verdict(monkeypatch, q, 0, table, cells, value)
+        assert verdict["pass"] is False
+        details.add(verdict["detail"].split(" broken")[0])
+    # a symmetric corruption passes commutativity and reaches the triples
+    assert {"commutativity", "additive associativity", "distributivity"} <= details
+    for table, cells in (("_neg", [1]), ("_inv", [2])):
+        verdict = _same_verdict(monkeypatch, q, 0, table, cells, 0)
+        assert verdict["pass"] is False
+
+
+def test_field_check_matches_the_per_call_check_on_sampled_triples(monkeypatch):
+    q, seed = 17, 0
+    vals = random.Random(seed * 1000003 + q).choices(range(q), k=3 * 4096)
+    hit = set()
+    for a, b, c in list(zip(vals[0::3], vals[1::3], vals[2::3]))[:8]:
+        for table, (x, y) in (("_add", (a, b)), ("_mul", (a, b)), ("_add", (b, c)),
+                              ("_mul", (a, c))):
+            right = getattr(GF(q), table)[x][y]
+            for value in ((right + 1) % q, (right + 5) % q):
+                cells = [(x, y), (y, x)]
+                verdict = _same_verdict(monkeypatch, q, seed, table, cells, value)
+                assert verdict["pass"] is False
+                hit.add(verdict["detail"].split(" broken")[0])
+    assert {"additive associativity", "multiplicative associativity"} <= hit
+    monkeypatch.undo()
+    assert suites._check_field(q, seed) == _check_field_by_calls(GF(q), seed)
+    assert suites._check_field(q, seed)["pass"] is True
