@@ -7,9 +7,9 @@ minor_is_valid).  Searches enumerate candidates in a fixed canonical order
 (subsets ascending by bitmask, sizes ascending) so results are reproducible
 run to run.
 
-Lines come from one source: the matroid's rank-2 flats (flats_of_rank(2),
-memoized per matroid) for the fingerprints, and the points of M/e for the
-lines through e in longline_step; no line is found by closing a pair.
+Lines come from two places, and neither closes a pair: the fingerprints read
+the matroid's rank-2 flats (flats_of_rank(2), memoized per matroid), and
+longline_step reads the lines through e off the points of M/e.
 
 Isomorphism is a backtracking search over per-element fingerprints (parallel
 class size and line profile), pruned by one rule: the hyperplanes' traces on
@@ -478,12 +478,13 @@ def unavoidable_minor_of_extension(
     extension of a rank-2m projective geometry.
 
     The last element e must add a genuinely new point.  The minimal flat F
-    of the geometry whose closure catches e is recovered as the
-    intersection of all geometry hyperplanes that do; modularity of
-    projective flats makes that intersection itself catch e.  If r(F) >= m,
-    contract basis elements to leave a free point on a full flat (tag
-    P(m-1,q,m)); otherwise leave a free point on a line (tag P(m-1,q,2)).
-    The returned witness is isomorphism-verified against the constructed
+    of the geometry whose closure catches e is the meet of the H - e for the
+    hyperplanes H of M through e with r(H - e) = r(M) - 1: these are the
+    hyperplanes of M \\ e that catch e, as the flats of M \\ e are the G - e
+    for flats G of M.  Modularity of projective flats makes F catch e.  If
+    r(F) >= m, contract basis elements to leave a free point on a full flat
+    (tag P(m-1,q,m)); otherwise leave a free point on a line (tag
+    P(m-1,q,2)).  The witness is isomorphism-verified against the built
     target; failure to verify raises, since the recipe admits no exceptions.
     """
     from .constructions import principal_geometry_extension
@@ -496,19 +497,17 @@ def unavoidable_minor_of_extension(
             f"need rank {2 * mm} on {n_pts + 1} elements, got rank {m.full_rank} on {m.n}"
         )
     eb = 1 << e
-    geom = m.delete({e})
-    geom_classes = geom.point_classes()
-    if len(geom_classes) != n_pts or any(c.bit_count() != 1 for c in geom_classes):
+    points = m.point_classes()
+    # each class but {e}, minus e, is a point of M \ e; n_pts on n_pts elements are singletons
+    if sum(c != eb for c in points) != n_pts:
         raise NotAnExtensionError("deleting e does not leave a simple full geometry")
-    if m.epsilon() != n_pts + 1:
+    if len(points) != n_pts + 1:
         raise RepresentableInputError("the added element is a loop or a parallel copy")
 
-    lift = geom.lift_mask
     flat = ((1 << m.n) - 1) ^ eb
-    for h in geom.flats_of_rank(2 * mm - 1):
-        h_m = lift(h)
-        if m.rank(h_m | eb) == m.rank(h_m):
-            flat &= h_m
+    for h in m.hyperplanes():
+        if h & eb and m.rank(h ^ eb) == 2 * mm - 1:
+            flat &= h ^ eb
     r_flat = m.rank(flat)
     if m.rank(flat | eb) != r_flat or r_flat < 2:
         raise LemmaViolationError("hyperplane intersection fails to catch the new element")

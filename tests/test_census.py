@@ -13,8 +13,8 @@ are_isomorphic within a bucket; the class counts are the published ones
 
 import pytest
 
-from mforge import BasesMatroid, are_isomorphic, corpus_generate
-from mforge.matroid import Matroid, ksubset_masks, rank_axioms_hold
+from mforge import BasesMatroid, are_isomorphic, corpus_generate, has_minor, minor_is_valid
+from mforge.matroid import Matroid, ksubset_masks, materialize_bases, rank_axioms_hold
 
 CLASS_COUNTS = [1, 2, 4, 8, 17, 38, 98, 306]
 
@@ -148,3 +148,56 @@ def test_rank_axiom_sweep_matches_the_pair_scan(census):
                 assert rank_axioms_hold(_RankTable(m.n, bad)) == want, (m.n, ranks, x, delta)
                 kinds.add(want and want.split(" fails")[0])
     assert kinds == {"rank of empty set is nonzero", "unit increase", "submodularity", None}
+
+
+# -- the minor order of the census, against has_minor
+
+def _minor_order(census, top):
+    """below[n][i]: the classes (size, index) that are minors of census[n][i],
+    for n <= top.  The minor order is the reflexive, transitive closure of
+    "is a single-element deletion or contraction of" (Oxley, section 3.1), so
+    each class's minors are itself and those of its single-element minors;
+    each of those is found in the census by its bucket key and
+    are_isomorphic, never by has_minor."""
+    below = [[{(0, 0)}]]
+    for n in range(1, top + 1):
+        lower = census[n - 1]
+        buckets: dict = {}
+        for i, m in enumerate(lower):
+            buckets.setdefault(_bucket_key(m), []).append(i)
+
+        def find(view):
+            m = materialize_bases(view)
+            return next(i for i in buckets[_bucket_key(m)]
+                        if are_isomorphic(m, lower[i]) is not None)
+
+        row = []
+        for i, m in enumerate(census[n]):
+            minors = {(n, i)}
+            for e in range(n):
+                for view in (m.delete({e}), m.contract({e})):
+                    minors |= below[n - 1][find(view)]
+            row.append(minors)
+        below.append(row)
+    return below
+
+
+def test_has_minor_matches_the_census_minor_order(census):
+    # every host on at most 6 elements against every class no larger than
+    # it: has_minor answers exactly the minor order, and every positive
+    # witness checks out
+    below = _minor_order(census, 6)
+    pairs, positives, wrong = 0, 0, []
+    for n, level in enumerate(census[:7]):
+        for i, host in enumerate(level):
+            for tn in range(n + 1):
+                for ti, target in enumerate(census[tn]):
+                    wit = has_minor(host, target)
+                    pairs += 1
+                    if (wit is not None) != ((tn, ti) in below[n][i]):
+                        wrong.append(((n, i), (tn, ti)))
+                    if wit is not None:
+                        positives += 1
+                        assert minor_is_valid(host, target, wit), ((n, i), (tn, ti))
+    assert not wrong, f"{len(wrong)} disagreements, the first {wrong[:3]}"
+    assert (pairs, positives) == (19823, 3046)

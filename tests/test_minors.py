@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from mforge import (
     LemmaViolationError,
     LinearMatroid,
     Matroid,
+    MinorWitness,
     NotAnExtensionError,
     RepresentableInputError,
     SizeCapError,
@@ -30,13 +32,14 @@ from mforge import (
     mask_of,
     materialize_bases,
     pg,
+    principal_geometry_extension,
     theta_graph,
     unavoidable_minor_of_extension,
     uniform,
     weighted_density_exceeds,
 )
 from mforge import minors
-from mforge.matroid import MinorView, bits, ksubset_masks
+from mforge.matroid import MinorView, bits, ksubset_masks, pg_size, representatives
 from mforge.minors import _fingerprints
 from test_matroid import _view_stacks
 
@@ -767,6 +770,129 @@ def test_unavoidable_minor_error_taxonomy():
     par = geom.principal_extension(point)  # parallel copy, not a new point
     with pytest.raises(RepresentableInputError):
         unavoidable_minor_of_extension(par, 2, 2)
+
+
+def _unavoidable_minor_through_deletion(m, target_rank, q):
+    """The earlier lemma-6 procedure, kept as a reference: the hyperplanes
+    through e are those of a deletion view M \\ e, lifted back to M, that
+    catch e by two rank queries each."""
+    mm = target_rank
+    e = m.n - 1
+    n_pts = pg_size(q, 2 * mm)
+    if m.full_rank != 2 * mm or m.n != n_pts + 1:
+        raise NotAnExtensionError(
+            f"need rank {2 * mm} on {n_pts + 1} elements, got rank {m.full_rank} on {m.n}"
+        )
+    eb = 1 << e
+    geom = m.delete({e})
+    geom_classes = geom.point_classes()
+    if len(geom_classes) != n_pts or any(c.bit_count() != 1 for c in geom_classes):
+        raise NotAnExtensionError("deleting e does not leave a simple full geometry")
+    if m.epsilon() != n_pts + 1:
+        raise RepresentableInputError("the added element is a loop or a parallel copy")
+    flat = ((1 << m.n) - 1) ^ eb
+    for h in geom.flats_of_rank(2 * mm - 1):
+        h_m = geom.lift_mask(h)
+        if m.rank(h_m | eb) == m.rank(h_m):
+            flat &= h_m
+    r_flat = m.rank(flat)
+    if m.rank(flat | eb) != r_flat or r_flat < 2:
+        raise LemmaViolationError("hyperplane intersection fails to catch the new element")
+    basis_flat = m._greedy_basis(flat)
+    basis = m._greedy_basis(((1 << m.n) - 1) ^ eb, basis_flat)
+    if r_flat >= mm:
+        contract = basis ^ mask_of(bits(basis_flat)[:mm])
+        tag_k = mm
+    else:
+        contract = (mask_of(bits(basis_flat)[: r_flat - 2])
+                    | mask_of(bits(basis & ~basis_flat)[: mm - (r_flat - 2)]))
+        tag_k = 2
+    tag = f"P({mm - 1},{q},{tag_k})"
+    quotient = m.contract(contract)
+    classes = quotient.point_classes()
+    if len(classes) != pg_size(q, mm) + 1:
+        raise LemmaViolationError(f"contraction has {len(classes)} points, not the {tag} count")
+    dmask = (((1 << m.n) - 1) ^ contract
+             ^ minors._in_host(m, quotient, representatives(classes)))
+    cert = are_isomorphic(m.minor(contract, dmask),
+                          principal_geometry_extension(mm, q, tag_k).matroid)
+    if cert is None:
+        raise LemmaViolationError(f"contraction recipe did not produce {tag}")
+    return tag, MinorWitness(contract, dmask, cert)
+
+
+def _extension_inputs():
+    """(name, matroid, target rank, q): PG(3,2) extended on each of its 66
+    flats of rank >= 1, lemma6's three PG(5,2) extensions, PG(3,3) extended
+    on its first five lines, its first five planes and the full flat, and six
+    malformed inputs."""
+    out = []
+    small = pg(4, 2).matroid
+    for k in range(1, 5):
+        for flat in small.flats_of_rank(k):
+            out.append((f"PG(3,2)+e on {flat:#x}", small.principal_extension(flat), 2, 2))
+    big = pg(6, 2).matroid
+    first = bits(big._greedy_basis((1 << big.n) - 1))
+    for k in (2, 3, 6):
+        flat = big.closure(mask_of(first[:k]))
+        out.append((f"PG(5,2)+e on rank {k}", big.principal_extension(flat), 3, 2))
+    ternary = pg(4, 3).matroid
+    flats = (ternary.flats_of_rank(2)[:5] + ternary.flats_of_rank(3)[:5]
+             + [(1 << ternary.n) - 1])
+    for flat in flats:
+        out.append((f"PG(3,3)+e on {flat:#x}", ternary.principal_extension(flat), 2, 3))
+    gf2 = GF(2)
+    cols = [tuple(small.columns[e]) for e in range(small.n)]
+    out += [
+        ("bare PG(3,2)", small, 2, 2),
+        ("PG(3,2) + loop", LinearMatroid(gf2, cols + [(0, 0, 0, 0)]), 2, 2),
+        ("PG(3,2) + parallel", LinearMatroid(gf2, cols + [cols[3]]), 2, 2),
+        ("PG(3,2) + coloop", LinearMatroid(gf2, [c + (0,) for c in cols] + [(0,) * 4 + (1,)]),
+         2, 2),
+        ("14 points, a copy, the 15th", LinearMatroid(gf2, cols[1:] + [cols[1], cols[0]]), 2, 2),
+        ("PG(3,2)\\0 + U(1,2)", direct_sum(small.delete({0}), uniform(1, 2).matroid), 2, 2),
+    ]
+    assert len(out) == 86
+    return out
+
+
+def _outcome(find, m, target_rank, q):
+    try:
+        tag, wit = find(m, target_rank, q)
+    except Exception as exc:  # the reference and the procedure must fail alike
+        return type(exc), str(exc)
+    return tag, wit.contract, wit.delete, wit.iso.mapping
+
+
+def test_unavoidable_minor_matches_the_deletion_view_reference():
+    # reading the hyperplanes through e off M itself changes no answer and
+    # no error: same tag and witness, or the same exception and message
+    outcomes = Counter()
+    for name, m, target_rank, q in _extension_inputs():
+        got = _outcome(unavoidable_minor_of_extension, m, target_rank, q)
+        assert got == _outcome(_unavoidable_minor_through_deletion, m, target_rank, q), name
+        outcomes[got[0] if isinstance(got[0], str) else got[0].__name__] += 1
+    # the 15 points and the loop and parallel columns are not new points;
+    # the other four malformed inputs are no extension of PG(3,2) at all
+    assert outcomes == {"P(1,2,2)": 51, "P(2,2,2)": 1, "P(2,2,3)": 2, "P(1,3,2)": 11,
+                        "RepresentableInputError": 17, "NotAnExtensionError": 4}
+
+
+def test_unavoidable_minor_builds_no_deletion_view(monkeypatch):
+    # one call builds two minor views: the quotient M / C and the witness
+    # minor M / C \ D; the hyperplanes through e come from M itself
+    geom = pg(4, 2).matroid
+    ext = geom.principal_extension(geom.flats_of_rank(2)[0])
+    built = []
+    init = MinorView.__init__
+
+    def counting_init(self, parent, contract, delete):
+        built.append((contract, delete))
+        init(self, parent, contract, delete)
+
+    monkeypatch.setattr(MinorView, "__init__", counting_init)
+    _, wit = unavoidable_minor_of_extension(ext, 2, 2)
+    assert built == [(wit.contract, 0), (wit.contract, wit.delete)]
 
 
 def _seeded_host(rng, q):
