@@ -69,33 +69,19 @@ BASES_VERIFY_CAP = 5000
 SUBSPACE_ENUM_CAP = 150_000
 
 
-def _log_fallback(msg: str, *args) -> None:
-    """DEBUG record on the "mforge" logger; logging is imported by the first one."""
-    import logging
-
-    logging.getLogger("mforge").debug(msg, *args, stacklevel=2)
-
-
-def bits(mask: int) -> list[int]:
-    """Element ids present in a bitmask, ascending."""
-    if mask < 0:  # clearing the lowest bit of a negative int never ends
-        raise ValueError(f"negative mask {mask}")
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _iter_bits(mask: int):
-    """bits(mask) lazily, for loops that may stop early."""
-    if mask < 0:
+    """Element ids present in a bitmask, ascending, one at a time: the one bit loop."""
+    if mask < 0:  # clearing the lowest bit of a negative int never ends
         raise ValueError(f"negative mask {mask}")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def bits(mask: int) -> list[int]:
+    """Element ids present in a bitmask, ascending, as a list."""
+    return list(_iter_bits(mask))
 
 
 def mask_of(elems) -> int:
@@ -414,7 +400,8 @@ def reduce_vector(gf: GF, pivots: list, v):
 
 
 def push_pivot(gf: GF, pivots: list, v) -> bool:
-    """Reduce v and, if it is nonzero, append (lowest position, _point key).
+    """Reduce v and, if it is nonzero, append (lowest position, residue scaled
+    to 1 there, as a tuple): against no pivots, v's _point key for q >= 4.
 
     Returns whether v was independent of the pivots already present.
     """
@@ -497,7 +484,7 @@ class LinearMatroid(Matroid):
             return (1 << self.n) - 1
         out = mask | self._loops
         on_point = self._on_point
-        if (gf.q**r - 1) // (gf.q - 1) <= len(on_point) * r:
+        if pg_size(gf.q, r) <= len(on_point) * r:
             # ascending lowest positions make every point of the span a key
             rows = [key for _, key in sorted(pivots)]
             for p in _subspace_points(gf, rows):
@@ -537,20 +524,19 @@ class LinearMatroid(Matroid):
     # -- subspace-indexed flat enumeration ---------------------------------------
 
     def _flats_impl(self, k: int) -> list[int]:
+        """The subspace walk, which visits every point of every rank-k subspace,
+        or the generic search when that costs less: up to n closures at each
+        flat of rank below k, priced as C(n, k) flats.  Past ENUM_CAP, where
+        that search refuses, more than SUBSPACE_ENUM_CAP subspaces refuse at once."""
         r = self.full_rank
         gf = self.field
         count = _gaussian_binomial(r, k, gf.q)
-        # The subspace walk visits every point of every rank-k subspace; the
-        # generic search takes up to n closures at each flat of rank below k,
-        # priced here as C(n, k) flats.
-        walk = count * (gf.q**k - 1) // (gf.q - 1)
-        if self.n <= ENUM_CAP and walk > math.comb(self.n, k) * self.n:
+        if self.n <= ENUM_CAP and count * pg_size(gf.q, k) > math.comb(self.n, k) * self.n:
             return super()._flats_impl(k)
-        if self.n > ENUM_CAP and count > SUBSPACE_ENUM_CAP:  # where the generic search refuses
-            _log_fallback(
-                "LinearMatroid flats fall back to the generic search: %d rank-%d subspaces "
-                "of GF(%d)^%d exceed %d", count, k, gf.q, r, SUBSPACE_ENUM_CAP)
-            return super()._flats_impl(k)
+        if self.n > ENUM_CAP and count > SUBSPACE_ENUM_CAP:
+            raise SizeCapError(
+                f"flat enumeration needs n <= {ENUM_CAP}, got {self.n}, or at most "
+                f"{SUBSPACE_ENUM_CAP} rank-{k} subspaces of GF({gf.q})^{r}, got {count}")
         return self._subspace_flats(k)
 
     def _subspace_flats(self, k: int) -> list[int]:
@@ -576,8 +562,8 @@ def _point(gf: GF, v):
     Over GF(2) the key is v packed into an int, bit i holding entry i.  Over
     GF(3) it is the pair of ints (ones, twos) whose bit i is set when entry i
     is 1, resp. 2, with the planes swapped (v negated) if need be so that the
-    lowest nonzero entry is 1.  Otherwise it is v scaled so its first nonzero
-    entry is 1, as a tuple.
+    lowest nonzero entry is 1.  Otherwise it is the tuple push_pivot appends
+    for v against no pivots: v scaled so its first nonzero entry is 1.
     """
     if gf.q == 2:
         out = 0
@@ -591,11 +577,8 @@ def _point(gf: GF, v):
         if not nz:
             return None
         return (twos, ones) if twos & nz & -nz else (ones, twos)
-    nz = next((i for i, x in enumerate(v) if x), None)
-    if nz is None:
-        return None
-    ix = gf.inv(v[nz])
-    return tuple(gf.mul(ix, x) for x in v)
+    pivots: list = []
+    return pivots[0][1] if push_pivot(gf, pivots, v) else None
 
 
 def _add3(a1: int, a2: int, b1: int, b2: int) -> tuple[int, int]:
@@ -884,7 +867,9 @@ class MinorView(Matroid):
         try:
             parent_flats = self.parent.flats_of_rank(pk)
         except SizeCapError as exc:
-            _log_fallback("MinorView flats fall back to the generic search: %s", exc)
+            if self.n <= ENUM_CAP:  # else the generic search refuses too, and nothing falls back
+                import logging  # with the first record, so no other command loads it
+                logging.getLogger("mforge").debug("MinorView flats fall back to the generic search: %s", exc)
             return super()._flats_impl(k)
         # F - C - D is a flat of M/C\D when the flat F holds C, of rank
         # r_M(F - D) - r(C), which is k unless F meets D; each flat of the

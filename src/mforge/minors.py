@@ -138,7 +138,7 @@ def _fingerprints(m: Matroid):
     return fps
 
 
-def are_isomorphic(m: Matroid, n: Matroid, *, _n_memo=None) -> IsoCertificate | None:
+def are_isomorphic(m: Matroid, n: Matroid, *, _n_prints=None) -> IsoCertificate | None:
     """Rank-preserving bijection, or None when provably absent.
 
     Depth-first search over fingerprint-compatible images, most constrained
@@ -155,22 +155,17 @@ def are_isomorphic(m: Matroid, n: Matroid, *, _n_memo=None) -> IsoCertificate | 
     maps with no completion and accepts exactly the isomorphisms, so it
     returns the first isomorphism in that order, as any such search does.
 
-    _n_memo, when given, is a dict that keeps n's fingerprints and
-    hyperplanes across calls: has_minor passes one for all of its candidates.
+    _n_prints, when given, is _fingerprints(n), which has_minor computes once
+    for all of its candidates; n's hyperplanes come from its own flats memo.
     """
     if m.n != n.n or m.full_rank != n.full_rank:
         return None
     if m.n > ISO_CAP:
         raise SizeCapError(f"isomorphism search needs n <= {ISO_CAP}, got {m.n}")
-    n_memo = {} if _n_memo is None else _n_memo
-    if "prints" not in n_memo:
-        n_memo["prints"] = _fingerprints(n)
-    fm, fn = _fingerprints(m), n_memo["prints"]
+    fm, fn = _fingerprints(m), _fingerprints(n) if _n_prints is None else _n_prints
     if sorted(fm) != sorted(fn):
         return None
-    if "hyperplanes" not in n_memo:
-        n_memo["hyperplanes"] = n.hyperplanes()
-    hm, hn = m.hyperplanes(), n_memo["hyperplanes"]
+    hm, hn = m.hyperplanes(), n.hyperplanes()
     cands = [[f for f in range(n.n) if fn[f] == fm[e]] for e in range(m.n)]
     # most-constrained-first element order keeps the search shallow
     order = sorted(range(m.n), key=lambda e: len(cands[e]))
@@ -247,7 +242,7 @@ def has_minor(m: Matroid, n: Matroid) -> MinorWitness | None:
         raise SizeCapError(f"minor search needs |E| <= {MINOR_CAP}, got {m.n}")
     n_loops = n.loops().bit_count()
     n_eps = n.epsilon()
-    n_memo: dict = {}  # the target's fingerprints and hyperplanes, once a candidate needs them
+    n_prints = _fingerprints(n)  # once for every candidate
     full = (1 << m.n) - 1
     for cmask in ksubset_masks(m.n, csize):
         if m.rank(cmask) != csize:
@@ -262,7 +257,7 @@ def has_minor(m: Matroid, n: Matroid) -> MinorWitness | None:
                     or sum(1 for cls in classes if cls & keep) != n_eps
                     or mc.rank(keep) != n.full_rank):
                 continue
-            cert = are_isomorphic(mc.restrict(keep), n, _n_memo=n_memo)
+            cert = are_isomorphic(mc.restrict(keep), n, _n_prints=n_prints)
             if cert is not None:
                 return MinorWitness(cmask, full ^ cmask ^ _in_host(m, mc, keep), cert)
     return None
@@ -274,7 +269,8 @@ def _line_minor_witness(m: Matroid, size: int) -> MinorWitness | None:
     Contract a basis of the least coline on at least `size` hyperplanes (the
     least rank-(r-2) hyperplane meet of size(size-1)/2 pairs or more), keep
     one representative per point of the contraction, and certify directly:
-    the result is a simple rank-2 matroid on `size` elements.
+    the result is a simple rank-2 matroid on `size` elements, or the recipe
+    is wrong and LemmaViolationError is raised.
     """
     r = m.full_rank
     if r < 2:
@@ -288,9 +284,9 @@ def _line_minor_witness(m: Matroid, size: int) -> MinorWitness | None:
     mc = m.contract(basis)
     keep = representatives(mc.point_classes()[:size])
     dmask = ((1 << m.n) - 1) ^ basis ^ _in_host(m, mc, keep)
-    if _is_uniform_line(m.minor(basis, dmask)) == size:
-        return MinorWitness(basis, dmask, IsoCertificate(tuple(range(size))))
-    return None
+    if _is_uniform_line(m.minor(basis, dmask)) != size:
+        raise LemmaViolationError(f"the contracted coline did not leave a {size}-point line")
+    return MinorWitness(basis, dmask, IsoCertificate(tuple(range(size))))
 
 
 def _hyperplane_meets(m: Matroid) -> Counter:

@@ -20,7 +20,7 @@ values implicitly avoid it.
 
 from __future__ import annotations
 
-from .errors import SizeCapError
+from .errors import LemmaViolationError, SizeCapError
 from .gf import GF, is_prime, prime_power, prime_powers_upto, prime_sieve
 from .records import Record
 
@@ -178,9 +178,9 @@ def brute_force_linear_rep(m, q: int):
     PG(r-1, q) in element order, with rank-agreement pruning on every
     subset of the placed prefix, ranked by the geometry's memoized oracle.
     A found representation is re-verified on all 2^n subsets before being
-    returned, and absence is definitive.  The input must be simple
-    (distinct points cannot represent loops or parallel pairs).  Capped at
-    rank 3, 8 elements, q <= 7.
+    returned (a failure raises LemmaViolationError), and absence is
+    definitive.  The input must be simple (distinct points cannot represent
+    loops or parallel pairs).  Capped at rank 3, 8 elements, q <= 7.
     """
     from .constructions import pg
     from .matroid import LinearMatroid, bits, rank_mismatch  # only this oracle needs matroid.py
@@ -216,7 +216,9 @@ def brute_force_linear_rep(m, q: int):
         return None
     rep = LinearMatroid(geometry.field, [geometry.columns[on[1 << e].bit_length() - 1]
                                          for e in range(m.n)])
-    return rep if rank_mismatch(rep, m) is None else None
+    if rank_mismatch(rep, m) is not None:
+        raise LemmaViolationError("the representation found fails its all-subsets re-check")
+    return rep
 
 
 # -- class membership and eventual bases -------------------------------------------------

@@ -182,22 +182,45 @@ def _minor_order(census, top):
     return below
 
 
-def test_has_minor_matches_the_census_minor_order(census):
+@pytest.fixture(scope="module")
+def minor_order(census):
+    return _minor_order(census, len(CLASS_COUNTS) - 1)
+
+
+def _has_minor_disagreements(census, below, hosts, target_sizes):
+    """(pairs, positives, wrong) of has_minor on each host (n, i) in hosts
+    against every class whose size is in target_sizes, given the minor
+    order below; every positive witness must pass minor_is_valid."""
+    pairs, positives, wrong = 0, 0, []
+    for n, i in hosts:
+        host = census[n][i]
+        for tn in target_sizes(n):
+            for ti, target in enumerate(census[tn]):
+                wit = has_minor(host, target)
+                pairs += 1
+                if (wit is not None) != ((tn, ti) in below[n][i]):
+                    wrong.append(((n, i), (tn, ti)))
+                if wit is not None:
+                    positives += 1
+                    assert minor_is_valid(host, target, wit), ((n, i), (tn, ti))
+    return pairs, positives, wrong
+
+
+def test_has_minor_matches_the_census_minor_order(census, minor_order):
     # every host on at most 6 elements against every class no larger than
     # it: has_minor answers exactly the minor order, and every positive
     # witness checks out
-    below = _minor_order(census, 6)
-    pairs, positives, wrong = 0, 0, []
-    for n, level in enumerate(census[:7]):
-        for i, host in enumerate(level):
-            for tn in range(n + 1):
-                for ti, target in enumerate(census[tn]):
-                    wit = has_minor(host, target)
-                    pairs += 1
-                    if (wit is not None) != ((tn, ti) in below[n][i]):
-                        wrong.append(((n, i), (tn, ti)))
-                    if wit is not None:
-                        positives += 1
-                        assert minor_is_valid(host, target, wit), ((n, i), (tn, ti))
+    hosts = [(n, i) for n, level in enumerate(census[:7]) for i in range(len(level))]
+    pairs, positives, wrong = _has_minor_disagreements(
+        census, minor_order, hosts, lambda n: range(n + 1))
     assert not wrong, f"{len(wrong)} disagreements, the first {wrong[:3]}"
     assert (pairs, positives) == (19823, 3046)
+
+
+def test_has_minor_on_seven_elements_matches_the_minor_order(census, minor_order):
+    # every host on 7 elements against every class on at most 4 elements
+    hosts = [(7, i) for i in range(len(census[7]))]
+    pairs, positives, wrong = _has_minor_disagreements(
+        census, minor_order, hosts, lambda n: range(5))
+    assert not wrong, f"{len(wrong)} disagreements, the first {wrong[:3]}"
+    assert (pairs, positives) == (9792, 7070)

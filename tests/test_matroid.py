@@ -631,7 +631,8 @@ def test_subspaces_past_their_cap_below_enum_cap_take_the_walk(caplog, monkeypat
 def test_flat_fallbacks_are_logged(caplog):
     # a minor of a linear matroid reads its flats off the parent's; rank-2
     # subspaces of GF(37)^4 exceed SUBSPACE_ENUM_CAP, and past ENUM_CAP the
-    # parent's generic search refuses, so the minor searches its own ground set
+    # parent refuses, so the minor searches its own ground set; only the
+    # minor's fallback is logged, naming the parent's two caps
     big = _random_linear(random.Random(70), 37, 4, 70)
     assert big.full_rank == 4
     small = big.delete((1 << 64) - 1)
@@ -639,14 +640,26 @@ def test_flat_fallbacks_are_logged(caplog):
         lines = small.flats_of_rank(2)
     assert lines == sorted(Matroid._flats_impl(small, 2))
     messages = [r.getMessage() for r in caplog.records]
-    assert messages[0].startswith("LinearMatroid flats fall back")
-    assert messages[1].startswith("MinorView flats fall back")
+    assert len(messages) == 1
+    assert messages[0].startswith("MinorView flats fall back")
+    assert messages[0].endswith("flat enumeration needs n <= 64, got 70, or at most 150000 "
+                                "rank-2 subspaces of GF(37)^4, got 1927590")
+
+
+def test_large_minor_of_a_refusing_parent_refuses_unlogged(caplog):
+    # the parent refuses as above, and a minor of 69 > ENUM_CAP elements is
+    # past the generic search too: it refuses without announcing a fallback
+    big = _random_linear(random.Random(70), 37, 4, 70)
+    with caplog.at_level(logging.DEBUG, logger="mforge"):
+        with pytest.raises(SizeCapError, match="^flat enumeration needs n <= 64, got 69$"):
+            big.delete(1).flats_of_rank(2)
+    assert caplog.records == []
 
 
 def test_extension_of_a_large_geometry_refuses_flats_unlogged(caplog):
     # PG(8,2) has 511 > ENUM_CAP points and too many rank-3 subspaces to
-    # walk, so its generic search refuses; the extension has 512 elements,
-    # so its own generic search would refuse too, and it announces none
+    # walk, so it refuses; the extension has 512 elements, so its own
+    # generic search would refuse too, and it announces none
     ext = pg(9, 2).matroid.principal_extension(0)
     with caplog.at_level(logging.DEBUG, logger="mforge"):
         with pytest.raises(SizeCapError, match="needs n <= 64"):
@@ -1215,7 +1228,7 @@ def test_flats_memo_stores_no_refusal():
             m.flats_of_rank(k)
     assert m._flats == {}
     # rank-2 subspaces of GF(37)^4 exceed SUBSPACE_ENUM_CAP and 70 > ENUM_CAP
-    # elements refuse the generic search: each call refuses again
+    # elements are past the generic search: each call refuses again
     big = _random_linear(random.Random(70), 37, 4, 70)
     for _ in range(2):
         with pytest.raises(SizeCapError, match="needs n <= 64"):

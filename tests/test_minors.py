@@ -39,8 +39,10 @@ from mforge import (
     weighted_density_exceeds,
 )
 from mforge import minors
+from mforge.cli import main
 from mforge.matroid import MinorView, bits, ksubset_masks, pg_size, representatives
 from mforge.minors import _fingerprints
+from mforge.serialize import save_path
 from test_matroid import _view_stacks
 
 FANO = pg(3, 2).matroid
@@ -944,6 +946,25 @@ def test_line_precheck_runs_before_the_size_cap(monkeypatch):
     assert len(calls) == 1
     assert has_minor(host, uniform(2, 4).matroid) is None
     assert len(calls) == 2
+
+
+def test_a_failed_line_recheck_raises(monkeypatch, tmp_path, capsys):
+    # PG(1,29) has 30 > MINOR_CAP points, so U(2,3) is answered by
+    # _line_minor_witness alone.  When its own re-check of the minor it built
+    # fails, the recipe is wrong: that is an error (exit 2), never the clean
+    # negative {"found": false} and exit 1.
+    host = pg(2, 29).matroid
+    assert host.n == 30 and host.n > minors.MINOR_CAP
+    line = minors._is_uniform_line
+    monkeypatch.setattr(minors, "_is_uniform_line",
+                        lambda n: None if isinstance(n, MinorView) else line(n))
+    with pytest.raises(LemmaViolationError, match="did not leave a 3-point line"):
+        has_minor(host, uniform(2, 3).matroid)
+    save_path(host, str(tmp_path / "host.json"))
+    save_path(uniform(2, 3).matroid, str(tmp_path / "line.json"))
+    assert main(["has-minor", str(tmp_path / "host.json"), str(tmp_path / "line.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "3-point line" in err
 
 
 def test_minor_search_refuses_hosts_above_the_cap():

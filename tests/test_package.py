@@ -1,6 +1,8 @@
+import ast
 import importlib
 import inspect
 import typing
+from pathlib import Path
 
 import pytest
 
@@ -45,3 +47,24 @@ def test_every_export_resolves_its_annotations():
                     targets.append(member)
         for target in targets:
             typing.get_type_hints(target)
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module binds by import and never reads, anywhere in it."""
+    tree = ast.parse(source)
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(set(imported) - read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a refactor that deletes the last use of a name should delete its import too
+    assert _unused_imports("from x import a, b as c\nimport os.path\nprint(a)") == ["c", "os"]
+    unused = {path.name: names for path in Path(mforge.__file__).parent.glob("*.py")
+              if (names := _unused_imports(path.read_text(encoding="utf-8")))}
+    assert unused == {}

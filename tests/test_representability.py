@@ -9,6 +9,7 @@ import pytest
 from mforge import (
     ClassSpec,
     GF,
+    LemmaViolationError,
     LinearMatroid,
     SizeCapError,
     SpikeWitness,
@@ -164,6 +165,14 @@ def test_brute_force_rep_known_cases():
     spike3 = free_spike(3).matroid
     assert brute_force_linear_rep(spike3, 3) is None
     assert brute_force_linear_rep(spike3, 4) is not None
+
+
+def test_a_failed_representation_recheck_raises(monkeypatch):
+    # a representation that fails the final all-subsets re-check is a wrong
+    # search, not evidence that none exists: it raises rather than return None
+    monkeypatch.setattr("mforge.matroid.rank_mismatch", lambda a, b: 0)
+    with pytest.raises(LemmaViolationError, match="all-subsets re-check"):
+        brute_force_linear_rep(pg(3, 2).matroid, 2)
 
 
 def _placement_oracle(m, q) -> bool:

@@ -2,10 +2,12 @@ import contextlib
 import fcntl
 import itertools
 import json
+import marshal
 import os
 import random
 import threading
 import time
+import types
 import weakref
 
 import pytest
@@ -115,6 +117,88 @@ def test_dying_worker_is_an_error_and_is_reaped(monkeypatch, tmp_path, capsys):
     mark.unlink()
     assert main(["verify", "field-axioms", "--jobs", "2"]) == 2
     assert "exited with status 3" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_dying_worker_kills_and_reaps_the_survivor(monkeypatch, tmp_path, capsys):
+    # three CPUs, --jobs 3: two workers.  The first forked exits 3 while the
+    # second still runs its case, so the caller must kill the survivor and
+    # reap both before it reports the error.
+    fork = os.fork
+    forks = []  # in the caller: the workers' pids, in fork order
+    rank = [None]  # in a worker: its place in that order
+
+    def numbered():
+        place = len(forks)
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        else:
+            rank[0] = place
+        return pid
+
+    def thunk():
+        if rank[0] is not None:
+            (tmp_path / f"worker-{rank[0]}").touch()
+            if rank[0] == 0:
+                os._exit(3)
+            time.sleep(60)  # the survivor; only the caller's kill ends it in time
+        # three processes, three cases: each takes one before the caller returns
+        for place in (0, 1):
+            _wait_for(tmp_path / f"worker-{place}")
+        return {"pass": True}
+
+    def in_process():
+        with pytest.raises(MforgeError) as caught:
+            run_suite("field-axioms", jobs=3)
+        return str(caught.value)
+
+    def cli():
+        assert main(["verify", "field-axioms", "--jobs", "3"]) == 2
+        return capsys.readouterr().err.removeprefix("mforge: ").rstrip("\n")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "fork", numbered)
+    monkeypatch.setitem(SUITES, "field-axioms", lambda seed, caps: [(f"c[{i}]", thunk) for i in range(3)])
+    for run in (in_process, cli):
+        forks.clear()
+        for mark in tmp_path.glob("worker-*"):
+            mark.unlink()
+        started = time.monotonic()
+        message = run()
+        assert len(forks) == 2
+        assert message == f"suite worker {forks[0]} exited with status 3"
+        assert time.monotonic() - started < 30  # the survivor was killed, not waited for
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_case_lost_on_the_way_back_is_an_error(monkeypatch, tmp_path, capsys):
+    # the caller drops the first (i, result) pair a worker sends back: the
+    # report would be one case short, so the run refuses instead
+    parent = os.getpid()
+    mark = tmp_path / "worker-ran"
+
+    def thunk():
+        if os.getpid() != parent:
+            mark.touch()
+        else:
+            _wait_for(mark)
+        return {"pass": True}
+
+    def dropping(raw):
+        return marshal.loads(raw)[1:]
+
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(suites, "marshal", types.SimpleNamespace(dumps=marshal.dumps, loads=dropping))
+    monkeypatch.setitem(SUITES, "field-axioms", lambda seed, caps: [(f"c[{i}]", thunk) for i in range(4)])
+    with pytest.raises(MforgeError, match="did not return every case exactly once"):
+        run_suite("field-axioms", jobs=2)
+    assert mark.exists()
+    mark.unlink()
+    assert main(["verify", "field-axioms", "--jobs", "2"]) == 2
+    assert "did not return every case exactly once" in capsys.readouterr().err
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
