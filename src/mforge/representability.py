@@ -139,7 +139,9 @@ def spike_rep_predicate(k: int, q: int) -> bool:
 
 
 def swirl_rep_predicate(k: int, q: int) -> bool:
-    """Rank-k free swirl representable over GF(q): q-1 composite, or k <= q-3."""
+    """The group condition for the rank-k free swirl over GF(q): q-1 composite,
+    or k <= q-3.  It decides representability from k = 4 up: Swirl(3) = U(3,6)
+    is GF(q)-representable iff q >= 4, which it denies at q = 4."""
     _check_pred_params(k, q)
     return _group_rep(k, q - 1, is_prime)
 
@@ -278,9 +280,11 @@ _LAST_OUT = {"line": -2, "spike": 1, "swirl": 2}
 def _member(kind: str, param: int, q: int, cls: str, prime) -> str:
     """Three-valued membership; UNKNOWN is never treated as absence.
 
-    q is a prime power, a spike or swirl rank is at least 3, and prime(x)
-    tells whether x is prime.
+    q is a prime power, a spike or swirl rank is at least 3 (Swirl(3) takes
+    the spike rule), and prime(x) tells whether x is prime.
     """
+    if kind == "swirl" and param == 3:
+        kind = "spike"  # Swirl(3) and Spike(3) are both U(3,6)
     if kind == "line":
         if cls == "L":
             return IN if param <= q + 1 else OUT
@@ -292,12 +296,7 @@ def _member(kind: str, param: int, q: int, cls: str, prime) -> str:
         return OUT if cls == "L" else UNKNOWN
     if kind == "spike":
         return IN if cls != "L" or _group_rep(param, q, prime) else OUT
-    if cls == "Llambda":
-        return IN if param >= 4 else UNKNOWN
-    in_l = IN if _group_rep(param, q - 1, prime) else OUT
-    if cls == "Lcirc" and param < 4 and in_l == OUT:
-        return UNKNOWN  # the iff transfer rule is only stated from rank 4 up
-    return in_l
+    return IN if cls == "Llambda" or _group_rep(param, q - 1, prime) else OUT
 
 
 def membership_flags(kind: str, param: int, q: int) -> dict[str, bool]:
@@ -306,16 +305,14 @@ def membership_flags(kind: str, param: int, q: int) -> dict[str, bool]:
     kind "line": param is the number of points m; in_L iff m <= q+1, in_Lcirc
     iff m <= q*q+q+1 (both exact), in_Llambda when m <= q*q+1 (containment
     guarantee only; False here never means proven absence).
-    kind "spike"/"swirl": param is the rank k; spikes need k >= 3, swirls
-    k >= 4, q >= 3.  A flag is True exactly when _member answers IN.
+    kind "spike"/"swirl": param is the rank k >= 3, q >= 3; Swirl(3) gets the
+    flags of Spike(3), both being U(3,6).  A flag is True iff _member says IN.
     """
     if prime_power(q) is None:
         raise ValueError(f"{q} is not a prime power")
     if kind == "line":
         if param < 2:
             raise ValueError("a line needs at least 2 points")
-    elif kind == "swirl" and param < 4:
-        raise ValueError("swirl membership rules need rank at least 4")
     elif kind in ("spike", "swirl"):
         _check_pred_params(param, q)
     else:

@@ -11,9 +11,10 @@ With jobs > 1 it forks up to min(jobs, cases, usable CPUs) - 1 workers once
 the builder has run, so every process shares the built corpus and
 geometries copy-on-write; each process, the caller included, takes the next
 case index from one shared pipe, and each worker sends its results back
-with marshal.  A worker that dies, or a case that never comes back, is an
-MforgeError, never a shorter report.  Where os.fork is missing or the
-caller runs more than one thread, the runner runs the cases serially.
+with marshal on its own pipe, read as soon as it is readable.  A worker
+that dies, or a case that never comes back, is an MforgeError, never a
+shorter report.  Where os.fork is missing or the caller runs more than one
+thread, the runner runs the cases serially.
 
 SUITES maps each suite name to its builder(seed, caps).  Builders and
 checks import the modules they use in their own bodies, so `mforge verify`
@@ -585,7 +586,8 @@ def _single_threaded() -> bool:
 def _run_forked(cases: list, workers: int) -> list | None:
     """Runs the cases on this process and `workers` forked ones; returns the
     (i, result) pairs, or None when the index queue does not fit in the pipe
-    buffer (the caller then runs the cases serially)."""
+    buffer (the caller then runs the cases serially).  Each result pipe is
+    read once readable, when its worker has sent every result or died."""
     queue, feed = os.pipe()
     indices = b"".join(i.to_bytes(4, "little") for i in range(len(cases)))
     os.set_blocking(feed, False)
@@ -597,9 +599,10 @@ def _run_forked(cases: list, workers: int) -> list | None:
     if not fits:
         os.close(queue)
         return None
+    import select
     import signal
 
-    children = {}  # worker pid -> the pipe its (i, result) pairs come back on
+    children = {}  # the pipe a worker's (i, result) pairs come back on -> its pid
     gc.freeze()  # so no worker's collector writes to, and so copies, the builder's heap
     try:
         for _ in range(workers):
@@ -614,19 +617,19 @@ def _run_forked(cases: list, workers: int) -> list | None:
                 finally:
                     os._exit(status)
             os.close(out)
-            children[pid] = open(back, "rb")
+            children[open(back, "rb")] = pid
         done = _run_cases(cases, _queued(queue))
-        for pid, results in list(children.items()):
-            raw = results.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            results.close()
-            if status != 0:
-                raise MforgeError(f"suite worker {pid} exited with status {status}")
-            done += marshal.loads(raw)
+        while children:
+            for results in select.select(list(children), [], [])[0]:
+                raw, pid = results.read(), children.pop(results)
+                results.close()
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if status != 0:
+                    raise MforgeError(f"suite worker {pid} exited with status {status}")
+                done += marshal.loads(raw)
     finally:
         os.close(queue)
-        for pid, results in children.items():
+        for results, pid in children.items():
             results.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

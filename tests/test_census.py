@@ -13,7 +13,8 @@ are_isomorphic within a bucket; the class counts are the published ones
 
 import pytest
 
-from mforge import BasesMatroid, are_isomorphic, corpus_generate, has_minor, minor_is_valid
+from mforge import (BasesMatroid, are_isomorphic, brute_force_linear_rep, corpus_generate, has_minor,
+                    minor_is_valid, pg, uniform)
 from mforge.matroid import Matroid, ksubset_masks, materialize_bases, rank_axioms_hold
 
 CLASS_COUNTS = [1, 2, 4, 8, 17, 38, 98, 306]
@@ -224,3 +225,49 @@ def test_has_minor_on_seven_elements_matches_the_minor_order(census, minor_order
         census, minor_order, hosts, lambda n: range(5))
     assert not wrong, f"{len(wrong)} disagreements, the first {wrong[:3]}"
     assert (pairs, positives) == (9792, 7070)
+
+
+# -- the excluded-minor theorems for GF(2), GF(3) and GF(4)
+
+def _excluded_minors():
+    """The excluded minors for GF(2), GF(3) and GF(4)-representability on at
+    most 7 elements (Tutte; Bixby and Seymour; Geelen, Gerards and Kapoor,
+    JCTB 79 (2000), whose P8 and P8'' have 8 elements)."""
+    f7 = pg(3, 2).matroid
+    line = f7.flats_of_rank(2)[0]  # a circuit-hyperplane of F7
+    f7_minus = BasesMatroid(7, materialize_bases(f7).bases + [line], verify=False)
+    p6 = BasesMatroid(6, [b for b in ksubset_masks(6, 3) if b != 0b111], verify=False)
+    u = {(r, n): uniform(r, n).matroid for r, n in ((2, 4), (2, 5), (3, 5), (2, 6), (4, 6))}
+    return {
+        2: [u[2, 4]],
+        3: [u[2, 5], u[3, 5], f7, materialize_bases(f7.dual())],
+        4: [u[2, 6], u[4, 6], p6, f7_minus, materialize_bases(f7_minus.dual())],
+    }
+
+
+def _representable(m, q: int) -> bool:
+    """GF(q)-representability of m by the oracle on si(m), or on si(m*) when
+    r(m) >= 4: representability is closed under duality, and on at most 7
+    elements the corank is then at most 3, inside the oracle's rank cap."""
+    side = m.dual() if m.full_rank >= 4 else m
+    return brute_force_linear_rep(side.simplify()[0], q) is not None
+
+
+def test_excluded_minor_theorems_hold_on_the_census(census):
+    # the oracle and has_minor against the excluded minors agree on every
+    # member with 1 <= n <= 7, over GF(2), GF(3) and GF(4)
+    counts = {}
+    for q, excluded in _excluded_minors().items():
+        counts[q] = []
+        for level in census[1:]:
+            hits = 0
+            for m in level:
+                rep = _representable(m, q)
+                assert rep == all(has_minor(m, x) is None for x in excluded), (q, m.bases)
+                hits += rep
+            counts[q].append(hits)
+    assert counts == {
+        2: [2, 4, 8, 16, 32, 68, 148],
+        3: [2, 4, 8, 17, 36, 85, 216],
+        4: [2, 4, 8, 17, 38, 95, 268],
+    }

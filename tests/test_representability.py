@@ -16,6 +16,7 @@ from mforge import (
     brute_force_linear_rep,
     eventual_base,
     free_spike,
+    free_swirl,
     membership_flags,
     pg,
     prime_powers_upto,
@@ -254,8 +255,8 @@ def test_membership_flags_spike_swirl():
     assert f["in_Llambda"] and f["in_Lcirc"] and f["in_L"]
     f = membership_flags("swirl", 5, 4)
     assert f["in_Llambda"] and not f["in_Lcirc"] and not f["in_L"]
-    with pytest.raises(ValueError):
-        membership_flags("swirl", 3, 5)  # transfer rule starts at rank 4
+    # Swirl(3) and Spike(3) are both U(3,6): one rule answers both
+    assert membership_flags("swirl", 3, 5) == membership_flags("spike", 3, 5)
     with pytest.raises(ValueError):
         membership_flags("spike", 2, 5)
     with pytest.raises(ValueError, match="field order must be at least 3"):
@@ -264,6 +265,18 @@ def test_membership_flags_spike_swirl():
         membership_flags("plane", 5, 3)
     with pytest.raises(ValueError, match="6 is not a prime power"):
         membership_flags("spike", 5, 6)
+
+
+def test_membership_flags_match_the_oracle():
+    # in_L against an exhaustive search for a GF(q) representation, on lines
+    # and on the rank-3 spike and swirl (both U(3,6), GF(q)-representable
+    # exactly when q >= 4)
+    cases = [("line", m, uniform(2, m).matroid, q) for m in range(2, 9) for q in (2, 3, 4, 5, 7)]
+    cases += [(kind, 3, build(3).matroid, q) for kind, build in (("spike", free_spike), ("swirl", free_swirl))
+              for q in (3, 4, 5, 7)]
+    for kind, param, m, q in cases:
+        want = brute_force_linear_rep(m, q) is not None
+        assert membership_flags(kind, param, q)["in_L"] == want, (kind, param, q)
 
 
 def test_class_spec_validation():
@@ -315,6 +328,17 @@ def _eventual_base_grid():
     yield ClassSpec(1000, (997,), (1001,))
 
 
+def test_swirl3_specs_report_as_their_spike3_twins():
+    # Swirl(3) = Spike(3) = U(3,6), so a spec excluding Swirl(3) has the base,
+    # certification and gaps of its twin excluding Spike(3) in its place
+    specs = [spec for spec in _eventual_base_grid() if 3 in spec.swirl_ranks]
+    assert len(specs) == 30
+    for spec in specs:
+        twin = ClassSpec(spec.line_ell, spec.spike_ranks | {3}, spec.swirl_ranks - {3})
+        rep, want = eventual_base(spec), eventual_base(twin)
+        assert (rep.base, rep.certified, rep.gaps) == (want.base, want.certified, want.gaps), spec
+
+
 def test_eventual_base_reports_over_a_grid():
     # SHA-256 of the report lines over 182 specs as the public predicates,
     # with their per-q primality tests, decide every membership
@@ -325,4 +349,4 @@ def test_eventual_base_reports_over_a_grid():
                                  rep.base, rep.certified, rep.blocking, rep.gaps], sort_keys=True))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (
-        182, "19e1adc6e37ac1cbb044fc570903745c1e21ec93c78df8cd0c07393b3dd7df5c")
+        182, "f2ac438d863851890da1be4e2b2016bfca5fc4c133e117b67485beb222aa27be")

@@ -121,10 +121,10 @@ def test_dying_worker_is_an_error_and_is_reaped(monkeypatch, tmp_path, capsys):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_dying_worker_kills_and_reaps_the_survivor(monkeypatch, tmp_path, capsys):
-    # three CPUs, --jobs 3: two workers.  The first forked exits 3 while the
-    # second still runs its case, so the caller must kill the survivor and
-    # reap both before it reports the error.
+def _run_with_one_dying_worker(monkeypatch, tmp_path, capsys, dying: int) -> None:
+    # three CPUs, --jobs 3: two workers.  The one forked at place `dying`
+    # exits 3 while the other sleeps in its case, so the caller must report
+    # the dying one, kill the survivor and reap both before it raises.
     fork = os.fork
     forks = []  # in the caller: the workers' pids, in fork order
     rank = [None]  # in a worker: its place in that order
@@ -141,7 +141,7 @@ def test_dying_worker_kills_and_reaps_the_survivor(monkeypatch, tmp_path, capsys
     def thunk():
         if rank[0] is not None:
             (tmp_path / f"worker-{rank[0]}").touch()
-            if rank[0] == 0:
+            if rank[0] == dying:
                 os._exit(3)
             time.sleep(60)  # the survivor; only the caller's kill ends it in time
         # three processes, three cases: each takes one before the caller returns
@@ -168,10 +168,20 @@ def test_dying_worker_kills_and_reaps_the_survivor(monkeypatch, tmp_path, capsys
         started = time.monotonic()
         message = run()
         assert len(forks) == 2
-        assert message == f"suite worker {forks[0]} exited with status 3"
-        assert time.monotonic() - started < 30  # the survivor was killed, not waited for
+        assert message == f"suite worker {forks[dying]} exited with status 3"
+        assert time.monotonic() - started < 10  # the survivor was killed, not waited for
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+def test_dying_worker_kills_and_reaps_the_survivor(monkeypatch, tmp_path, capsys):
+    _run_with_one_dying_worker(monkeypatch, tmp_path, capsys, dying=0)
+
+
+def test_worker_dying_after_a_slow_one_is_reported_at_once(monkeypatch, tmp_path, capsys):
+    # the second-forked worker dies while the first sleeps: the caller reads
+    # whichever result pipe is readable, not the pipes in fork order
+    _run_with_one_dying_worker(monkeypatch, tmp_path, capsys, dying=1)
 
 
 def test_a_case_lost_on_the_way_back_is_an_error(monkeypatch, tmp_path, capsys):
